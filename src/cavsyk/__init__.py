@@ -30,9 +30,7 @@ from .diagnostics import (
     extract_decay_time,
     extract_ramp_and_heisenberg,
     fit_power_law,
-    level_spacing_distribution,
     log_time_grid,
-    rescale_to_heisenberg,
     unfold_spectrum,
     unfold_spectrum_linear,
 )
@@ -41,7 +39,6 @@ from .disorder import (
     SpeckleField,
     detuning_ratio,
     generate_speckle,
-    uniform_detuning,
 )
 from .ensemble import (
     RunConfig,
@@ -73,9 +70,7 @@ from .grids import (
     CavityModeSet,
     GridSpec,
     TrapModeSet,
-    cantor_pair,
     cantor_unpair,
-    cavity_mode,
     cavity_mode_set,
     hermite_functions,
     make_grid,
@@ -108,9 +103,7 @@ __all__ = [
     "TrapModeSet",
     "UNIFORM_DRIVE",
     "build_effective_hamiltonian",
-    "cantor_pair",
     "cantor_unpair",
-    "cavity_mode",
     "cavity_mode_set",
     "compare_runs",
     "compute_coupling_tensor",
@@ -127,13 +120,11 @@ __all__ = [
     "generate_speckle",
     "hermite_functions",
     "independent_entries",
-    "level_spacing_distribution",
     "load_manifest",
     "log_time_grid",
     "make_grid",
     "normalize_couplings",
     "plane_wave_drive",
-    "rescale_to_heisenberg",
     "run_ensemble",
     "same_grid",
     "sample_syk_cauchy",
@@ -142,5 +133,4 @@ __all__ = [
     "split_seed",
     "unfold_spectrum",
     "unfold_spectrum_linear",
-    "uniform_detuning",
 ]

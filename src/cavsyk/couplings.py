@@ -11,8 +11,9 @@ detuning ratio), then the antisymmetrized tensor
 
 with mS the cavity mode family n_x + n_y and dw the mode-spacing ratio
 delta_omega_tilde, and finally a per-realization rescaling to unit sample
-variance over the independent entries {i1 > i2, j1 > j2}.  The overall
-physical energy scale is factored out and never enters.
+variance over the independent entries {i1 > i2, j1 > j2}.  Only those
+entries are formed and stored.  The overall physical energy scale is
+factored out and never enters.
 """
 
 import math
@@ -78,9 +79,10 @@ class IntegralTable:
 class CouplingTensor:
     """Antisymmetrized two-body coupling tensor on N fermionic modes.
 
-    values is the full symmetry-completed (N, N, N, N) array indexed
-    [i1, i2, j1, j2]; normalization is the scale that has been divided out
-    so far (1.0 for a raw tensor).
+    values is the P x P pair block J[(i1, i2), (j1, j2)], P = N(N-1)/2, over
+    i1 > i2 and j1 > j2 in pair_indices order; antisymmetry in each index
+    pair and Hermitian symmetry generate every other entry.  normalization
+    is the scale that has been divided out so far (1.0 for a raw tensor).
     """
 
     n_modes: int
@@ -154,13 +156,16 @@ def compute_coupling_tensor(integrals, delta_omega_tilde, cutoff, normalize=True
 
     x = table.reshape(n * n, cutoff + 1)
     pair_sum = (x * weights) @ x.conj().T
-    # pair_sum[(i1, j1), (j2, i2)] -> t1[i1, i2, j1, j2]
-    t1 = np.einsum("ipqj->ijpq", pair_sum.reshape(n, n, n, n))
+    # t[i1, j1, j2, i2] = pair_sum[(i1, j1), (j2, i2)]
+    t = pair_sum.reshape(n, n, n, n)
+    r1, r2 = pair_indices(n)
+    a1, a2 = r1[:, None], r2[:, None]
+    b1, b2 = r1[None, :], r2[None, :]
     values = (
-        t1
-        - t1.transpose(1, 0, 2, 3)
-        - t1.transpose(0, 1, 3, 2)
-        + t1.transpose(1, 0, 3, 2)
+        t[a1, b1, b2, a2]
+        - t[a2, b1, b2, a1]
+        - t[a1, b2, b1, a2]
+        + t[a2, b2, b1, a1]
     )
     if np.iscomplexobj(values):
         # a table symmetric in (i, j) makes the exchange terms conjugate
@@ -178,18 +183,16 @@ def compute_coupling_tensor(integrals, delta_omega_tilde, cutoff, normalize=True
 
 def pair_indices(n_modes):
     """Ordered-pair index arrays (i1, i2) with i1 > i2, lexicographic."""
-    i1, i2 = np.tril_indices(n_modes, -1)
-    return i1, i2
+    return np.tril_indices(n_modes, -1)
 
 
 def independent_entries(tensor):
-    """Pair-matrix view J[(i1,i2), (j1,j2)] over {i1 > i2, j1 > j2}.
+    """The stored pair block J[(i1,i2), (j1,j2)] over {i1 > i2, j1 > j2}.
 
     These [N(N-1)/2]^2 entries generate all others through antisymmetry and
     Hermitian symmetry, so ensemble statistics are computed on them alone.
     """
-    r1, r2 = pair_indices(tensor.n_modes)
-    return tensor.values[r1[:, None], r2[:, None], r1[None, :], r2[None, :]]
+    return tensor.values
 
 
 def coupling_scale(values_block):
@@ -212,7 +215,7 @@ def normalize_couplings(tensor):
     The scale divided out accumulates into the normalization field.  A
     zero-variance tensor cannot be normalized.
     """
-    block = independent_entries(tensor)
+    block = tensor.values
     if block.size < 2:
         raise ValueError("need at least 2 independent entries to normalize")
     scale = coupling_scale(block)

@@ -19,7 +19,6 @@ class TimeGrid:
     """Strictly increasing evaluation times, optionally starting at t = 0."""
 
     times: np.ndarray = field(repr=False)
-    scheme: str = "log"
 
     @property
     def count(self):
@@ -37,7 +36,7 @@ def log_time_grid(start, stop, points_per_decade=200, include_zero=False):
     times = np.geomspace(start, stop, n)
     if include_zero:
         times = np.concatenate([[0.0], times])
-    return TimeGrid(times, "log")
+    return TimeGrid(times)
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,29 +47,18 @@ class OtocSeries:
     values: np.ndarray = field(repr=False)
     mode_i: int = 0
     mode_j: int = 1
-    beta: float = 0.0
 
 
 @dataclass(frozen=True, eq=False)
 class SffSeries:
-    """Spectral form factor S(beta, t) with the Hilbert-space dimension."""
+    """Spectral form factor S(t) with the Hilbert-space dimension."""
 
     times: TimeGrid
     values: np.ndarray = field(repr=False)
-    beta: float = 0.0
     dimension: int = 0
-    heisenberg_time: float | None = None
 
 
-def _require_beta_zero(beta):
-    if beta != 0.0:
-        raise ValueError(
-            f"only the infinite-temperature point beta=0 is supported, "
-            f"got beta={beta}"
-        )
-
-
-def compute_otoc(spectrum, mode_i=0, mode_j=1, beta=0.0, times=None):
+def compute_otoc(spectrum, times, mode_i=0, mode_j=1):
     """F(t) = tr(W(t) V W(t) V) / D for W = 2 n_i - 1, V = 2 n_j - 1.
 
     Uses the eigenbasis: with Wt = U* W U and phase matrix
@@ -82,7 +70,6 @@ def compute_otoc(spectrum, mode_i=0, mode_j=1, beta=0.0, times=None):
     The t = 0 entry is set to 1 exactly: W and V are diagonal sign flips, so
     (W V)^2 is the identity as an operator statement, not a numerical one.
     """
-    _require_beta_zero(beta)
     if spectrum.vectors is None:
         raise ValueError("OTOC needs eigenvectors; diagonalize with keep_vectors")
     n = spectrum.sector.n_modes
@@ -122,7 +109,7 @@ def compute_otoc(spectrum, mode_i=0, mode_j=1, beta=0.0, times=None):
         else:
             b = (w_tilde * np.exp(1j * theta)) @ v_tilde
             values[k] = np.sum(b * b.T) / dim
-    return OtocSeries(times, values, mode_i, mode_j, beta)
+    return OtocSeries(times, values, mode_i, mode_j)
 
 
 def extract_decay_time(series):
@@ -149,14 +136,13 @@ def extract_decay_time(series):
     return float(t[k - 1] + frac * (t[k] - t[k - 1]))
 
 
-def compute_sff(spectrum, beta=0.0, times=None):
-    """S(0, t) = |sum_n exp(-i E_n t)|^2 / D^2 on the given grid."""
-    _require_beta_zero(beta)
+def compute_sff(spectrum, times):
+    """S(t) = |sum_n exp(-i E_n t)|^2 / D^2 on the given grid."""
     energies = spectrum.eigenvalues
     dim = len(energies)
     z = np.exp(-1j * times.times[:, None] * energies[None, :]).sum(axis=1)
     values = (z.real**2 + z.imag**2) / dim**2
-    return SffSeries(times, values, beta, dim)
+    return SffSeries(times, values, dim)
 
 
 def unfold_spectrum(spectrum, degree=9):
@@ -258,7 +244,6 @@ def extract_ramp_and_heisenberg(
     threshold=0.01,
     ramp_window=None,
     plateau_window=None,
-    t_h_estimate=None,
     run_points=3,
 ):
     """Locate the ramp time and Heisenberg time of an averaged form factor.
@@ -288,11 +273,10 @@ def extract_ramp_and_heisenberg(
     if plateau_window is None:
         plateau_window = (t[-1] / 20.0, t[-1])
     if ramp_window is None:
-        if t_h_estimate is None:
-            if series.dimension < 1:
-                raise ValueError("series carries no dimension; pass t_h_estimate")
-            t_h_estimate = 2.0 * series.dimension
-        ramp_window = (2.0 * t_dip, t_h_estimate / 2.0)
+        if series.dimension < 1:
+            raise ValueError("series carries no dimension; pass ramp_window")
+        # half the Heisenberg estimate 2D
+        ramp_window = (2.0 * t_dip, float(series.dimension))
 
     fits = {
         "ramp": _affine_fit(t, s, ramp_window, "ramp"),
@@ -317,23 +301,6 @@ def extract_ramp_and_heisenberg(
             )
         crossings[label] = float(t[start + int(hits[0])])
     return crossings["ramp"], crossings["plateau"]
-
-
-def rescale_to_heisenberg(series, t_h_target, t_h_own=None):
-    """Rescale the time axis so the series' Heisenberg time lands on target.
-
-    Values are untouched; only times (and the stored Heisenberg time) are
-    multiplied by t_h_target / t_h_own.
-    """
-    if t_h_own is None:
-        t_h_own = series.heisenberg_time
-    if t_h_own is None:
-        raise ValueError("series has no extracted Heisenberg time to rescale by")
-    if t_h_own <= 0 or t_h_target <= 0:
-        raise ValueError("Heisenberg times must be positive")
-    factor = t_h_target / t_h_own
-    grid = TimeGrid(series.times.times * factor, series.times.scheme)
-    return replace(series, times=grid, heisenberg_time=t_h_own * factor)
 
 
 def wigner_surmise_cdf(s):
@@ -366,7 +333,6 @@ class SpacingResult:
     density: np.ndarray = field(repr=False)
     ks_goe: float = 0.0
     ks_poisson: float = 0.0
-    n_degenerate: int = 0
 
 
 def spacing_statistics(spacings, bins=40):
@@ -426,13 +392,6 @@ def unfolded_spacings(spectrum, keep_fraction=0.8, window=21):
         local[k] = raw[lo:hi].mean()
     spacings = raw / local
     return spacings / spacings.mean(), n_degenerate
-
-
-def level_spacing_distribution(spectrum, keep_fraction=0.8):
-    """Spacing histogram of one spectrum against the GOE and Poisson laws."""
-    spacings, n_degenerate = unfolded_spacings(spectrum, keep_fraction)
-    result = spacing_statistics(spacings)
-    return replace(result, n_degenerate=n_degenerate)
 
 
 def fit_power_law(x, y):

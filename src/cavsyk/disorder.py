@@ -126,9 +126,3 @@ def detuning_ratio(speckle, strength=1.0):
         raise DegenerateInputError("speckle intensity has zero mean")
     ratio = 1.0 + strength * (speckle.intensity / mean)
     return DetuningRatioField(speckle.grid, ratio, float(strength))
-
-
-def uniform_detuning(grid):
-    """Disorder-free detuning ratio, identically 1 on the grid."""
-    n = grid.points_per_axis
-    return DetuningRatioField(grid, np.ones((n, n)), 0.0)

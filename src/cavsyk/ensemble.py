@@ -117,8 +117,14 @@ class RunConfig:
                 raise ValueError("gamma must be positive")
             if not 0 < self.mass_inside < 1:
                 raise ValueError("mass_inside must lie in (0, 1)")
-        if self.compute_otoc and self.otoc_mode_i == self.otoc_mode_j:
-            raise ValueError("otoc modes must differ")
+        if self.compute_otoc:
+            if self.otoc_mode_i == self.otoc_mode_j:
+                raise ValueError("otoc modes must differ")
+            for mode in (self.otoc_mode_i, self.otoc_mode_j):
+                if not 0 <= mode < self.n_modes:
+                    raise ValueError(
+                        f"otoc mode {mode} out of range 0..{self.n_modes - 1}"
+                    )
         if self.sff_unfold not in ("polynomial", "linear", "none"):
             raise ValueError(
                 "sff_unfold must be 'polynomial', 'linear', or 'none', "
@@ -134,6 +140,10 @@ class RunConfig:
                 continue
             if len(window) != 2 or not 0 < window[0] < window[1]:
                 raise ValueError(f"{name} must be (low, high) with 0 < low < high")
+        if self.compute_spacings and not 0 < self.keep_fraction <= 1:
+            raise ValueError("keep_fraction must lie in (0, 1]")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be at least 1")
         return self
 
     def to_dict(self):
@@ -296,7 +306,7 @@ def _run_realization(config, statics, index):
     }
     arrays = {"eigenvalues": spectrum.eigenvalues}
 
-    block = cp.independent_entries(tensor)
+    block = tensor.values
     if config.save_couplings:
         arrays["couplings"] = block
     if config.fit_rho:
@@ -312,7 +322,7 @@ def _run_realization(config, statics, index):
             include_zero=True,
         )
         otoc = dg.compute_otoc(
-            spectrum, config.otoc_mode_i, config.otoc_mode_j, 0.0, otoc_grid
+            spectrum, otoc_grid, config.otoc_mode_i, config.otoc_mode_j
         )
         arrays["otoc_times"] = otoc.times.times
         arrays["otoc_values"] = otoc.values
@@ -329,7 +339,7 @@ def _run_realization(config, statics, index):
             basis = dg.unfold_spectrum_linear(spectrum)
         else:
             basis = spectrum
-        sff = dg.compute_sff(basis, 0.0, sff_grid)
+        sff = dg.compute_sff(basis, sff_grid)
         arrays["sff_times"] = sff.times.times
         arrays["sff_values"] = sff.values
 
@@ -441,7 +451,7 @@ def _aggregate(config, run_dir, results):
         )
         aggregates["files"]["otoc"] = "aggregates/otoc_mean.csv"
         series = dg.OtocSeries(
-            dg.TimeGrid(times, "log"), mean, config.otoc_mode_i,
+            dg.TimeGrid(times), mean, config.otoc_mode_i,
             config.otoc_mode_j,
         )
         try:
@@ -457,7 +467,7 @@ def _aggregate(config, run_dir, results):
         _write_csv(agg_dir / "sff_mean.csv", ["t", "s"], [times, mean])
         aggregates["files"]["sff"] = "aggregates/sff_mean.csv"
         dim = good[0][1]["eigenvalues"].shape[0]
-        series = dg.SffSeries(dg.TimeGrid(times, "log"), mean, 0.0, dim)
+        series = dg.SffSeries(dg.TimeGrid(times), mean, dim)
         smoothed = dg.smooth_sff(series, config.sff_smooth_decades)
         aggregates["dip_time"] = dg.dip_time(smoothed)
         aggregates["plateau_height"] = dg.plateau_height(smoothed)

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .couplings import CouplingTensor, independent_entries, pair_indices
+from .couplings import CouplingTensor
 from .errors import CapacityError, EigensolverError
 
 # dense full-spectrum solves stay cheap up to binomial(20, 10) ~ 184k only in
@@ -169,7 +169,7 @@ def build_effective_hamiltonian(tensor, sector, source_model="effective", seed=N
             f"{sector.n_modes}"
         )
     sources, targets, p_idx, q_idx, signs = _contraction_plan(sector)
-    block = independent_entries(tensor)
+    block = tensor.values
     dim = sector.dimension
     if len(sources) == 0:
         dtype = complex if np.iscomplexobj(block) else float
@@ -183,52 +183,33 @@ def build_effective_hamiltonian(tensor, sector, source_model="effective", seed=N
     return ManyBodyMatrix(sector, matrix, source_model, seed)
 
 
-def _tensor_from_pair_block(block, n_modes):
-    """Expand a pair-matrix block into the antisymmetrized 4-index tensor."""
-    r1, r2 = pair_indices(n_modes)
-    a1, a2 = r1[:, None], r2[:, None]
-    b1, b2 = r1[None, :], r2[None, :]
-    full = np.zeros((n_modes,) * 4, dtype=block.dtype)
-    full[a1, a2, b1, b2] = block
-    full[a2, a1, b1, b2] = -block
-    full[a1, a2, b2, b1] = -block
-    full[a2, a1, b2, b1] = block
-    return full
-
-
 def _reference_tensor(block, n_modes):
-    # the conventional 1/(2N)^(3/2) prefactor; washed out by normalization
-    values = _tensor_from_pair_block(block, n_modes) * (2.0 * n_modes) ** -1.5
-    return CouplingTensor(
-        n_modes, values, math.nan, math.nan, -1, 1.0
-    )
+    return CouplingTensor(n_modes, block, math.nan, math.nan, -1, 1.0)
 
 
-def sample_syk_gaussian(n_modes, variant="complex", scale=1.0, seed=0):
+def sample_syk_gaussian(n_modes, variant="complex", seed=0):
     """Random all-to-all two-body tensor with Gaussian entries.
 
     variant "complex": pair-diagonal entries (i1=j1, i2=j2) are real with
-    variance scale^2; all other independent entries have real and imaginary
-    parts of variance scale^2 / 2, with Hermitian symmetry across the pair
-    indices.  variant "real": every independent entry is real with variance
-    scale^2.  The cavity-specific metadata of the returned tensor
-    (delta_omega_tilde, zeta, cutoff) is not meaningful and set to NaN / -1.
+    unit variance; all other independent entries have real and imaginary
+    parts of variance 1/2, with Hermitian symmetry across the pair indices.
+    variant "real": every independent entry is real with unit variance.
+    The cavity-specific metadata of the returned tensor (delta_omega_tilde,
+    zeta, cutoff) is not meaningful and set to NaN / -1.
     """
     n_modes = int(n_modes)
     if n_modes < 2:
         raise ValueError(f"need at least 2 modes, got {n_modes}")
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
     rng = np.random.default_rng(int(seed))
     p = n_modes * (n_modes - 1) // 2
 
     if variant == "real":
-        draw = rng.normal(0.0, scale, (p, p))
+        draw = rng.normal(0.0, 1.0, (p, p))
         block = np.triu(draw) + np.triu(draw, 1).T
     elif variant == "complex":
-        re = rng.normal(0.0, scale / math.sqrt(2.0), (p, p))
-        im = rng.normal(0.0, scale / math.sqrt(2.0), (p, p))
-        diag = rng.normal(0.0, scale, p)
+        re = rng.normal(0.0, 1.0 / math.sqrt(2.0), (p, p))
+        im = rng.normal(0.0, 1.0 / math.sqrt(2.0), (p, p))
+        diag = rng.normal(0.0, 1.0, p)
         upper = np.triu(re, 1) + 1j * np.triu(im, 1)
         block = upper + upper.conj().T + np.diag(diag + 0j)
     else:

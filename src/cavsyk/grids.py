@@ -161,16 +161,8 @@ def solve_trap_modes(grid, n_modes):
     return TrapModeSet(grid, energies, modes, np.array(pairs))
 
 
-def cantor_pair(n_x, n_y):
-    """Map the index pair (n_x, n_y) to a unique nonnegative integer."""
-    if n_x < 0 or n_y < 0:
-        raise ValueError(f"pairing needs nonnegative inputs, got ({n_x}, {n_y})")
-    s = n_x + n_y
-    return s * (s + 1) // 2 + n_y
-
-
 def cantor_unpair(m):
-    """Invert cantor_pair: return (n_x, n_y) with cantor_pair(n_x, n_y) == m."""
+    """(n_x, n_y) with Cantor pairing index m = s(s+1)/2 + n_y, s = n_x + n_y."""
     if m < 0:
         raise ValueError(f"pairing index must be nonnegative, got {m}")
     s = (math.isqrt(8 * m + 1) - 1) // 2
@@ -196,39 +188,6 @@ def hermite_functions(n_max, u):
     return out
 
 
-def _cavity_scale(zeta):
-    # waist w0 = sqrt(2) * zeta, so the Hermite-Gauss length scale
-    # w0 / sqrt(2) equals zeta itself
-    if zeta <= 0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
-    return float(zeta)
-
-
-def _check_cavity_nyquist(grid, family, scale):
-    k_max = math.sqrt(2.0 * (family + 1)) / scale
-    if grid.spacing >= math.pi / k_max:
-        raise ResolutionError(
-            f"grid spacing {grid.spacing:g} undersamples cavity mode family "
-            f"{family}; need spacing below {math.pi / k_max:g}"
-        )
-
-
-def cavity_mode(m, zeta, grid):
-    """Transverse cavity mode g_m on the grid, as a real (Nx, Nx) array.
-
-    The mode is the product of 1D Hermite-Gauss functions of scale
-    w0 / sqrt(2) with indices (n_x, n_y) = cantor_unpair(m); the waist is
-    w0 = sqrt(2) * zeta.
-    """
-    if m < 0:
-        raise ValueError(f"mode index must be nonnegative, got {m}")
-    scale = _cavity_scale(zeta)
-    nx, ny = cantor_unpair(m)
-    _check_cavity_nyquist(grid, nx + ny, scale)
-    table = hermite_functions(max(nx, ny), grid.axis / scale)
-    return np.outer(table[nx], table[ny]) / scale
-
-
 @dataclass(frozen=True, eq=False)
 class CavityModeSet:
     """Cavity modes g_0..g_M with their mode-family indices.
@@ -250,13 +209,26 @@ class CavityModeSet:
 
 
 def cavity_mode_set(cutoff, zeta, grid):
-    """Build all cavity modes with flattened index m = 0..cutoff."""
+    """Build all cavity modes g_m with flattened index m = 0..cutoff.
+
+    g_m is the product of 1D Hermite-Gauss functions with indices
+    (n_x, n_y) = cantor_unpair(m) and length scale w0 / sqrt(2) = zeta,
+    for the waist w0 = sqrt(2) * zeta.
+    """
     if cutoff < 0:
         raise ValueError(f"mode cutoff must be nonnegative, got {cutoff}")
-    scale = _cavity_scale(zeta)
+    if zeta <= 0:
+        raise ValueError(f"zeta must be positive, got {zeta}")
+    scale = float(zeta)
     labels = [cantor_unpair(m) for m in range(cutoff + 1)]
     family = np.array([nx + ny for nx, ny in labels])
-    _check_cavity_nyquist(grid, int(family.max()), scale)
+    top = int(family.max())
+    k_max = math.sqrt(2.0 * (top + 1)) / scale
+    if grid.spacing >= math.pi / k_max:
+        raise ResolutionError(
+            f"grid spacing {grid.spacing:g} undersamples cavity mode family "
+            f"{top}; need spacing below {math.pi / k_max:g}"
+        )
 
     n_max = max(max(nx, ny) for nx, ny in labels)
     table = hermite_functions(n_max, grid.axis / scale) / math.sqrt(scale)

@@ -53,6 +53,67 @@ def overlap_integral(n1, n2, m_pair, zeta, lim=12.0):
     return 0.5 * fx * fy
 
 
+def cantor_pair(n_x, n_y):
+    """Map the index pair (n_x, n_y) to a unique nonnegative integer."""
+    s = n_x + n_y
+    return s * (s + 1) // 2 + n_y
+
+
+def cavity_mode(m, zeta, grid):
+    """Cavity mode g_m built on its own from a Hermite table of its orders.
+
+    The per-mode construction that cavity_mode_set batches over all modes:
+    the product of 1D Hermite-Gauss functions of scale zeta with indices
+    (n_x, n_y) = cantor_unpair(m).
+    """
+    from cavsyk.grids import cantor_unpair, hermite_functions
+
+    nx, ny = cantor_unpair(m)
+    table = hermite_functions(max(nx, ny), grid.axis / zeta)
+    return np.outer(table[nx], table[ny]) / zeta
+
+
+# ---------------------------------------------------------------------------
+# the full four-index coupling tensor
+
+def coupling_tensor(table, delta_omega_tilde, cutoff):
+    """Raw (N,N,N,N) tensor Jt[i1,i2,j1,j2] from an integral table.
+
+    Each of the four terms of the antisymmetrized mode sum is one explicit
+    einsum over the weighted cavity modes, with no pair-block gather and no
+    transposes, so every index combination (repeated ones included) is
+    formed directly from its definition.
+    """
+    e = table.entries[:, :, : cutoff + 1]
+    c = e.conj()
+    w = 1.0 / (1.0 + table.family[: cutoff + 1] * delta_omega_tilde)
+    return (
+        np.einsum("m,acm,dbm->abcd", w, e, c)
+        - np.einsum("m,bcm,dam->abcd", w, e, c)
+        - np.einsum("m,adm,cbm->abcd", w, e, c)
+        + np.einsum("m,bdm,cam->abcd", w, e, c)
+    )
+
+
+def pair_block_of(full):
+    """Entries of a full tensor on {i1 > i2, j1 > j2}, tril pair order."""
+    r1, r2 = np.tril_indices(full.shape[0], -1)
+    return full[r1[:, None], r2[:, None], r1[None, :], r2[None, :]]
+
+
+def expand_pair_block(block, n_modes):
+    """Full antisymmetrized (N,N,N,N) tensor from its pair block."""
+    r1, r2 = np.tril_indices(n_modes, -1)
+    a1, a2 = r1[:, None], r2[:, None]
+    b1, b2 = r1[None, :], r2[None, :]
+    full = np.zeros((n_modes,) * 4, dtype=block.dtype)
+    full[a1, a2, b1, b2] = block
+    full[a2, a1, b1, b2] = -block
+    full[a1, a2, b2, b1] = -block
+    full[a2, a1, b2, b1] = block
+    return full
+
+
 # ---------------------------------------------------------------------------
 # symbolic fermionic operator algebra on bitmask states
 
@@ -88,8 +149,9 @@ def quartic_term_action(state, i1, i2, j1, j2):
 def brute_force_hamiltonian(values, states):
     """Dense matrix of sum_{i1 i2 j1 j2} T c+ c+ c c over explicit states.
 
-    `values` is the full (N,N,N,N) tensor including all symmetry partners;
-    every index 4-tuple is applied literally, one at a time.
+    `values` is the full (N,N,N,N) tensor including all symmetry partners,
+    as expand_pair_block gives it; every index 4-tuple is applied
+    literally, one at a time.
     """
     n = values.shape[0]
     index = {s: k for k, s in enumerate(states)}

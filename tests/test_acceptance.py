@@ -156,7 +156,7 @@ def test_criterion_03_tensor_algebra_and_oracle():
     grid = grids.make_grid(10.0, 200)
     cavity = grids.cavity_mode_set(240, 1.0, grid)
     trap8 = grids.solve_trap_modes(grid, 8)
-    worst = {"herm": 0.0, "anti": 0.0, "var": 0.0}
+    worst = {"herm": 0.0, "anti": 0.0, "var": 0.0, "block": 0.0}
     for seed in (3, 4, 5):
         ratio = disorder.detuning_ratio(
             disorder.generate_speckle(grid, 17.0, seed=seed)
@@ -164,8 +164,12 @@ def test_criterion_03_tensor_algebra_and_oracle():
         table = cp.compute_integrals(trap8, cavity, ratio)
         tensor = cp.compute_coupling_tensor(table, 0.1, 240)
         assert tensor.is_real
-        v = tensor.values
+        v = oracles.coupling_tensor(table, 0.1, 240) / tensor.normalization
         peak = np.abs(v).max()
+        worst["block"] = max(
+            worst["block"],
+            np.abs(tensor.values - oracles.pair_block_of(v)).max() / peak,
+        )
         worst["herm"] = max(
             worst["herm"],
             np.abs(v - v.transpose(3, 2, 1, 0).conj()).max() / peak,
@@ -180,6 +184,7 @@ def test_criterion_03_tensor_algebra_and_oracle():
     assert worst["herm"] < 1e-12
     assert worst["anti"] < 1e-12
     assert worst["var"] < 1e-12
+    assert worst["block"] < 1e-12
 
     # matrix elements against the symbolic bitmask oracle in a 6-mode sector
     gap = 0.0
@@ -189,7 +194,9 @@ def test_criterion_03_tensor_algebra_and_oracle():
             fock.sample_syk_gaussian(6, sampler, seed=9)
         )
         built = fock.build_effective_hamiltonian(tensor, sector).matrix
-        reference = oracles.brute_force_hamiltonian(tensor.values, sector.states)
+        reference = oracles.brute_force_hamiltonian(
+            oracles.expand_pair_block(tensor.values, 6), sector.states
+        )
         gap = max(
             gap, float(np.abs(built - reference).max() / np.abs(reference).max())
         )
@@ -197,7 +204,8 @@ def test_criterion_03_tensor_algebra_and_oracle():
     report(
         "criterion 3: PASS  tensor algebra residuals "
         f"(herm {worst['herm']:.1e}, antisym {worst['anti']:.1e}, "
-        f"unit variance {worst['var']:.1e}) < 1e-12; oracle gap "
+        f"unit variance {worst['var']:.1e}, pair block vs oracle "
+        f"{worst['block']:.1e}) < 1e-12; oracle gap "
         f"{gap:.1e} < 1e-14"
     )
 
@@ -266,8 +274,7 @@ def test_criterion_07_sff_benchmark(n12_benchmark):
 
     data = np.loadtxt(f"{syk.run_dir}/aggregates/sff_mean.csv",
                       delimiter=",", skiprows=1)
-    series = dg.SffSeries(dg.TimeGrid(data[:, 0], "log"), data[:, 1],
-                          0.0, dim)
+    series = dg.SffSeries(dg.TimeGrid(data[:, 0]), data[:, 1], dim)
     smoothed = dg.smooth_sff(series, 0.15)
     assert smoothed.values.min() < agg["plateau_height"]
     window = (smoothed.times.times >= 2 * agg["dip_time"]) & (

@@ -31,9 +31,14 @@ def cavity(grid):
     return cs.cavity_mode_set(12, 1.0, grid)
 
 
+def clean_ratio(grid):
+    # zero disorder strength gives a ratio of exactly 1 everywhere
+    return cs.detuning_ratio(cs.generate_speckle(grid, 17.0, seed=0), 0.0)
+
+
 @pytest.fixture(scope="module")
 def clean_table(grid, trap, cavity):
-    return cp.compute_integrals(trap, cavity, cs.uniform_detuning(grid))
+    return cp.compute_integrals(trap, cavity, clean_ratio(grid))
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +50,11 @@ def disordered_table(grid, trap, cavity):
 @pytest.fixture(scope="module")
 def tensor(disordered_table):
     return cp.compute_coupling_tensor(disordered_table, 0.1, 12)
+
+
+@pytest.fixture(scope="module")
+def oracle_tensor(disordered_table):
+    return oracles.coupling_tensor(disordered_table, 0.1, 12)
 
 
 def test_integrals_match_adaptive_quadrature(clean_table, trap):
@@ -84,7 +94,7 @@ def test_wide_cavity_mode_sees_orthonormality(grid, trap):
     # scale 50 makes g_0 essentially constant over the cloud, so the m=0
     # integrals reduce to (g_0(0)/2) times the trap-mode Gram matrix
     wide = cs.cavity_mode_set(0, 50.0, grid)
-    table = cp.compute_integrals(trap, wide, cs.uniform_detuning(grid))
+    table = cp.compute_integrals(trap, wide, clean_ratio(grid))
     e = table.entries[:, :, 0]
     diag = np.abs(np.diag(e))
     off = np.abs(e - np.diag(np.diag(e)))
@@ -95,30 +105,40 @@ def test_wide_cavity_mode_sees_orthonormality(grid, trap):
 def test_grid_mismatch_rejected(trap, cavity):
     other = cs.make_grid(10.0, 150)
     with pytest.raises(ValueError):
-        cp.compute_integrals(trap, cavity, cs.uniform_detuning(other))
+        cp.compute_integrals(trap, cavity, clean_ratio(other))
 
 
-def test_tensor_antisymmetry(tensor):
+def test_tensor_antisymmetry(oracle_tensor):
     # the four-term construction is antisymmetric by inspection, but the
     # terms are summed in a fixed order so swapped index pairs accumulate
     # different round-off; compare to a scale-relative tolerance
-    v = tensor.values
+    v = oracle_tensor
     peak = np.abs(v).max()
     assert np.abs(v + v.transpose(1, 0, 2, 3)).max() < 1e-12 * peak
     assert np.abs(v + v.transpose(0, 1, 3, 2)).max() < 1e-12 * peak
 
 
-def test_tensor_repeated_index_vanishes(tensor):
-    v = tensor.values
-    n = tensor.n_modes
-    for i in range(n):
+def test_tensor_repeated_index_vanishes(oracle_tensor):
+    v = oracle_tensor
+    for i in range(v.shape[0]):
         assert np.all(v[i, i] == 0.0)
         assert np.all(v[:, :, i, i] == 0.0)
 
 
-def test_tensor_hermiticity(tensor):
-    v = tensor.values
+def test_tensor_hermiticity(oracle_tensor, tensor):
+    v = oracle_tensor / tensor.normalization
     assert np.abs(v - v.conj().transpose(3, 2, 1, 0)).max() < 1e-12
+    # on the pair block, Hermitian symmetry is J[p, q] = conj(J[q, p])
+    block = tensor.values
+    assert np.abs(block - block.conj().T).max() < 1e-12
+
+
+def test_pair_block_matches_oracle_tensor(disordered_table, oracle_tensor):
+    raw = cp.compute_coupling_tensor(disordered_table, 0.1, 12, normalize=False)
+    assert raw.values.shape == (15, 15)
+    expected = oracles.pair_block_of(oracle_tensor)
+    peak = np.abs(oracle_tensor).max()
+    assert np.abs(raw.values - expected).max() < 1e-12 * peak
 
 
 def test_uniform_drive_tensor_is_real(tensor):
@@ -138,7 +158,10 @@ def test_plane_wave_drive_tensor_is_exactly_real(grid, trap, cavity):
     tensor = cp.compute_coupling_tensor(table, 0.1, 12)
     assert tensor.is_real
     v = tensor.values
-    assert np.abs(v - v.transpose(3, 2, 1, 0)).max() < 1e-12
+    assert np.abs(v - v.T).max() < 1e-12
+    full = oracles.coupling_tensor(table, 0.1, 12) / tensor.normalization
+    assert np.abs(full.imag).max() < 1e-12
+    assert np.abs(v - oracles.pair_block_of(full).real).max() < 1e-12
     block = cp.independent_entries(tensor)
     assert abs(np.std(block, ddof=1) - 1.0) < 1e-12
     # and the tensor differs from its uniform-drive counterpart, so the

@@ -66,7 +66,7 @@ def test_log_time_grid_validation():
 def test_otoc_matches_propagator_oracle(small_spectrum):
     matrix, spectrum = small_spectrum
     times = dg.log_time_grid(0.05, 20.0, 8)
-    series = dg.compute_otoc(spectrum, 0, 1, times=times)
+    series = dg.compute_otoc(spectrum, times, 0, 1)
     states = spectrum.sector.states
     w = 2.0 * ((states >> 0) & 1) - 1.0
     v = 2.0 * ((states >> 1) & 1) - 1.0
@@ -80,7 +80,7 @@ def test_otoc_complex_hamiltonian_matches_oracle():
     matrix = fock.build_effective_hamiltonian(tensor, sector)
     spectrum = fock.diagonalize(matrix, keep_vectors=True)
     times = dg.log_time_grid(0.05, 20.0, 8)
-    series = dg.compute_otoc(spectrum, 2, 4, times=times)
+    series = dg.compute_otoc(spectrum, times, 2, 4)
     states = sector.states
     w = 2.0 * ((states >> 2) & 1) - 1.0
     v = 2.0 * ((states >> 4) & 1) - 1.0
@@ -92,18 +92,18 @@ def test_otoc_real_and_complex_paths_agree(small_spectrum):
     # forcing the eigenvectors complex routes through the other branch
     _, spectrum = small_spectrum
     times = dg.log_time_grid(0.1, 10.0, 6)
-    real_path = dg.compute_otoc(spectrum, 0, 1, times=times)
+    real_path = dg.compute_otoc(spectrum, times, 0, 1)
     forced = fock.Spectrum(
         spectrum.sector, spectrum.eigenvalues, spectrum.vectors.astype(complex)
     )
-    complex_path = dg.compute_otoc(forced, 0, 1, times=times)
+    complex_path = dg.compute_otoc(forced, times, 0, 1)
     assert np.abs(real_path.values - complex_path.values).max() < 1e-12
 
 
 def test_otoc_starts_at_one_exactly(small_spectrum):
     _, spectrum = small_spectrum
     times = dg.log_time_grid(0.1, 10.0, 4, include_zero=True)
-    series = dg.compute_otoc(spectrum, 0, 1, times=times)
+    series = dg.compute_otoc(spectrum, times, 0, 1)
     assert series.values[0] == 1.0
 
 
@@ -114,11 +114,9 @@ def test_otoc_validation(small_spectrum):
     with pytest.raises(ValueError):
         dg.compute_otoc(bare, times=times)
     with pytest.raises(ValueError):
-        dg.compute_otoc(spectrum, 1, 1, times=times)
+        dg.compute_otoc(spectrum, times, 1, 1)
     with pytest.raises(ValueError):
-        dg.compute_otoc(spectrum, 0, 6, times=times)
-    with pytest.raises(ValueError):
-        dg.compute_otoc(spectrum, 0, 1, beta=1.0, times=times)
+        dg.compute_otoc(spectrum, times, 0, 6)
 
 
 def test_decay_time_interpolates_exponential():
@@ -153,12 +151,6 @@ def test_sff_matches_direct_oracle(small_spectrum):
     assert series.dimension == spectrum.dimension
 
 
-def test_sff_rejects_finite_temperature(small_spectrum):
-    _, spectrum = small_spectrum
-    with pytest.raises(ValueError):
-        dg.compute_sff(spectrum, beta=0.5, times=dg.log_time_grid(0.1, 1.0, 4))
-
-
 @given(
     st.integers(min_value=3, max_value=12),
     st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
@@ -182,7 +174,7 @@ def test_goe_ensemble_dip_ramp_plateau(goe_spectra):
         dg.compute_sff(dg.unfold_spectrum(s), times=times).values
         for s in goe_spectra
     ]
-    mean = dg.SffSeries(times, np.mean(stack, axis=0), 0.0, dim)
+    mean = dg.SffSeries(times, np.mean(stack, axis=0), dim)
     smooth = dg.smooth_sff(mean, 0.15)
     plateau = dg.plateau_height(smooth)
     assert abs(plateau * dim - 1.0) < 0.2
@@ -269,7 +261,7 @@ def synthetic():
     # sits past the ramp corner at t = 2 * DIM
     times = dg.log_time_grid(0.1, 3e4, 100)
     values = oracles.synthetic_sff(times.times, DIM, BUMP)
-    return dg.SffSeries(times, values, 0.0, DIM)
+    return dg.SffSeries(times, values, DIM)
 
 
 def _bump_cross(threshold):
@@ -327,7 +319,7 @@ def test_persistence_rejects_transversal_crossing():
     times = dg.log_time_grid(1.0, 1e3, 50)
     t = times.times
     values = 1.0 + 0.3 * np.log(t / 30.0) ** 2  # parabola in log t, min at 30
-    series = dg.SffSeries(times, values, 0.0, 0)
+    series = dg.SffSeries(times, values, 0)
     windows = dict(ramp_window=(40.0, 300.0), plateau_window=(40.0, 300.0))
     with pytest.raises(ExtractionError):
         dg.extract_ramp_and_heisenberg(series, 1e-6, run_points=3, **windows)
@@ -335,13 +327,13 @@ def test_persistence_rejects_transversal_crossing():
 
 def test_extraction_validation(synthetic):
     zero_grid = dg.log_time_grid(0.1, 10.0, 5, include_zero=True)
-    series = dg.SffSeries(zero_grid, np.ones(zero_grid.count), 0.0, 10)
+    series = dg.SffSeries(zero_grid, np.ones(zero_grid.count), 10)
     with pytest.raises(ValueError, match="positive times"):
         dg.extract_ramp_and_heisenberg(series)
     with pytest.raises(ValueError, match="run_points"):
         dg.extract_ramp_and_heisenberg(synthetic, run_points=0)
-    bare = dg.SffSeries(synthetic.times, synthetic.values, 0.0, 0)
-    with pytest.raises(ValueError, match="t_h_estimate"):
+    bare = dg.SffSeries(synthetic.times, synthetic.values, 0)
+    with pytest.raises(ValueError, match="no dimension"):
         dg.extract_ramp_and_heisenberg(bare)
     with pytest.raises(ExtractionError, match="grid points"):
         dg.extract_ramp_and_heisenberg(
@@ -359,7 +351,7 @@ def test_extraction_validation(synthetic):
 def test_smoothing_keeps_constants_and_zero_width(synthetic):
     assert dg.smooth_sff(synthetic, 0.0) is synthetic
     times = dg.log_time_grid(0.1, 100.0, 30)
-    flat = dg.SffSeries(times, np.full(times.count, 0.25), 0.0, 4)
+    flat = dg.SffSeries(times, np.full(times.count, 0.25), 4)
     smoothed = dg.smooth_sff(flat, 0.2)
     assert np.abs(smoothed.values - 0.25).max() < 1e-14
 
@@ -369,7 +361,6 @@ def test_smoothing_suppresses_noise_but_keeps_plateau(synthetic):
     noisy = dg.SffSeries(
         synthetic.times,
         synthetic.values * (1.0 + 0.05 * rng.standard_normal(synthetic.times.count)),
-        0.0,
         DIM,
     )
     smoothed = dg.smooth_sff(noisy, 0.15)
@@ -389,28 +380,6 @@ def test_dip_and_plateau_baselines(synthetic):
     assert abs(plateau * DIM - 1.0) < 0.01
     with pytest.raises(ExtractionError):
         dg.plateau_height(synthetic, window=(5e4, 1e5))
-
-
-def test_rescale_to_heisenberg(synthetic):
-    _, t_h = dg.extract_ramp_and_heisenberg(synthetic, threshold=0.01)
-    tagged = dg.SffSeries(
-        synthetic.times, synthetic.values, 0.0, DIM, heisenberg_time=t_h
-    )
-    target = 2.0 * DIM
-    moved = dg.rescale_to_heisenberg(tagged, target)
-    factor = target / t_h
-    assert np.abs(moved.times.times - synthetic.times.times * factor).max() < 1e-12
-    assert abs(moved.heisenberg_time - target) < 1e-12
-    assert moved.values is tagged.values
-    identity = dg.rescale_to_heisenberg(tagged, t_h)
-    assert np.abs(identity.times.times - tagged.times.times).max() < 1e-12
-
-
-def test_rescale_validation(synthetic):
-    with pytest.raises(ValueError, match="no extracted Heisenberg"):
-        dg.rescale_to_heisenberg(synthetic, 100.0)
-    with pytest.raises(ValueError, match="positive"):
-        dg.rescale_to_heisenberg(synthetic, 100.0, t_h_own=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +413,10 @@ def test_goe_spacings_prefer_wigner(goe_spectra):
 def test_poisson_spacings_prefer_poisson():
     rng = np.random.default_rng(5)
     levels = np.sort(rng.uniform(0.0, 1.0, 2000))
-    result = dg.level_spacing_distribution(fock.Spectrum(None, levels))
+    spacings, n_degenerate = dg.unfolded_spacings(fock.Spectrum(None, levels))
+    result = dg.spacing_statistics(spacings)
     assert result.ks_poisson < result.ks_goe
-    assert result.n_degenerate == 0
+    assert n_degenerate == 0
 
 
 def test_degenerate_levels_are_dropped():

@@ -93,12 +93,6 @@ def test_ratio_mean_and_bounds(speckle):
 def test_zero_strength_is_clean_limit(speckle):
     field = cs.detuning_ratio(speckle, strength=0.0)
     assert np.array_equal(field.ratio, np.ones_like(field.ratio))
-
-
-def test_uniform_detuning_is_all_ones(grid):
-    field = cs.uniform_detuning(grid)
-    assert field.ratio.shape == (200, 200)
-    assert np.array_equal(field.ratio, np.ones((200, 200)))
     assert field.strength == 0.0
 
 

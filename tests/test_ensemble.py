@@ -151,6 +151,12 @@ def test_config_rejects_unknown_keys():
         (dict(sff_ramp_window=(5.0, 2.0)), "sff_ramp_window"),
         (dict(sff_plateau_window=(0.0, 2.0)), "sff_plateau_window"),
         (dict(sff_ramp_window=(1.0, 2.0, 3.0)), "sff_ramp_window"),
+        (dict(otoc_mode_j=8), "otoc mode 8 out of range 0..7"),
+        (dict(otoc_mode_i=-1), "otoc mode -1 out of range"),
+        (dict(keep_fraction=0.0), "keep_fraction"),
+        (dict(keep_fraction=1.5), "keep_fraction"),
+        (dict(workers=0), "workers"),
+        (dict(workers=-3), "workers"),
     ],
 )
 def test_config_validation_rejects(overrides, match):
@@ -561,6 +567,18 @@ def test_cli_run_reports_config_errors(tmp_path, capsys):
     assert cli.main(["run", str(bad_field)]) == 2
     errors = capsys.readouterr().err
     assert errors.count("config error") == 3
+
+
+def test_cli_run_rejects_out_of_range_otoc_mode(tmp_path, capsys):
+    # an OTOC mode beyond the mode count is a config error, caught before
+    # any realization runs
+    config_path = tmp_path / "config.json"
+    data = gauss_config(output_dir=str(tmp_path / "run")).to_dict()
+    data["otoc_mode_j"] = 12
+    config_path.write_text(json.dumps(data))
+    assert cli.main(["run", str(config_path)]) == 2
+    assert "otoc mode 12 out of range 0..7" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_run_partial_exit_code(tmp_path, monkeypatch, capsys):

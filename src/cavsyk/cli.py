@@ -100,7 +100,7 @@ def _cmd_compare(args):
     return 0
 
 
-def _pooled_coupling_histogram(run_dir, out_path, bins=120):
+def _pooled_coupling_histogram(run_dir, out_path):
     values = []
     for path in sorted(run_dir.glob("realizations/r*/couplings.csv")):
         with open(path) as handle:
@@ -110,7 +110,7 @@ def _pooled_coupling_histogram(run_dir, out_path, bins=120):
         return False
     arr = np.array(values)
     lo, hi = np.quantile(arr, [0.001, 0.999])
-    density, edges = np.histogram(arr, bins=bins, range=(lo, hi), density=True)
+    density, edges = np.histogram(arr, bins=120, range=(lo, hi), density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     with open(out_path, "w", newline="") as handle:
         writer = csv.writer(handle)

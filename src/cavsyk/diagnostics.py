@@ -145,7 +145,7 @@ def compute_sff(spectrum, times):
     return SffSeries(times, values, dim)
 
 
-def unfold_spectrum(spectrum, degree=9):
+def unfold_spectrum(spectrum):
     """Map eigenvalues onto a uniform density spanning (0, pi).
 
     A degree-9 polynomial fit of the empirical staircase removes the global
@@ -158,16 +158,16 @@ def unfold_spectrum(spectrum, degree=9):
     if dim < 2:
         raise ValueError("cannot unfold fewer than 2 levels")
     staircase = (np.arange(dim) + 0.5) / dim
-    fit = np.polynomial.Polynomial.fit(energies, staircase, min(degree, dim - 1))
+    fit = np.polynomial.Polynomial.fit(energies, staircase, min(9, dim - 1))
     mapped = np.sort(math.pi * fit(energies))
     return Spectrum(spectrum.sector, mapped, None)
 
 
-def unfold_spectrum_linear(spectrum, bulk_fraction=0.8):
+def unfold_spectrum_linear(spectrum):
     """Rescale eigenvalues by one global factor so bulk spacing is pi/D.
 
-    The factor comes from the mean spacing over the central bulk_fraction
-    quantile span, which pins the Heisenberg time 2 pi / spacing at 2D for
+    The factor comes from the mean spacing over the central 80% quantile
+    span, which pins the Heisenberg time 2 pi / spacing at 2D for
     every model while leaving the shape of the level density, and hence of
     the form factor, untouched up to the time unit.  Equivalent to plotting
     each model's form factor against time measured in units of its own mean
@@ -178,8 +178,7 @@ def unfold_spectrum_linear(spectrum, bulk_fraction=0.8):
     dim = len(energies)
     if dim < 2:
         raise ValueError("cannot unfold fewer than 2 levels")
-    if not 0 < bulk_fraction <= 1:
-        raise ValueError(f"bulk_fraction must lie in (0, 1], got {bulk_fraction}")
+    bulk_fraction = 0.8
     edge = (1.0 - bulk_fraction) / 2.0
     lo, hi = np.quantile(energies, [edge, 1.0 - edge])
     spacing = (hi - lo) / (bulk_fraction * (dim - 1))
@@ -193,15 +192,10 @@ def dip_time(series):
     return float(series.times.times[int(np.argmin(series.values))])
 
 
-def plateau_height(series, window=None):
-    """Mean form-factor value over the plateau window (default: last decade)."""
+def plateau_height(series):
+    """Mean form-factor value over the last decade of the time grid."""
     t = series.times.times
-    if window is None:
-        window = (t[-1] / 10.0, t[-1])
-    mask = (t >= window[0]) & (t <= window[1])
-    if not mask.any():
-        raise ExtractionError(f"no grid points in plateau window {window}")
-    return float(np.mean(series.values[mask]))
+    return float(np.mean(series.values[t >= t[-1] / 10.0]))
 
 
 def smooth_sff(series, width_decades):
@@ -335,8 +329,8 @@ class SpacingResult:
     ks_poisson: float = 0.0
 
 
-def spacing_statistics(spacings, bins=40):
-    """Histogram plus KS distances for an array of normalized spacings."""
+def spacing_statistics(spacings):
+    """40-bin histogram plus KS distances for an array of normalized spacings."""
     spacings = np.asarray(spacings, dtype=float)
     mean = spacings.mean()
     if mean <= 0:
@@ -344,7 +338,7 @@ def spacing_statistics(spacings, bins=40):
     spacings = spacings / mean
     upper = max(4.0, float(spacings.max()))
     density, edges = np.histogram(
-        spacings, bins=bins, range=(0.0, upper), density=True
+        spacings, bins=40, range=(0.0, upper), density=True
     )
     centers = 0.5 * (edges[:-1] + edges[1:])
     return SpacingResult(
@@ -356,14 +350,14 @@ def spacing_statistics(spacings, bins=40):
     )
 
 
-def unfolded_spacings(spectrum, keep_fraction=0.8, window=21):
+def unfolded_spacings(spectrum, keep_fraction=0.8):
     """Locally unfolded spacings of the central keep_fraction of the spectrum.
 
     Exact degeneracies (spacing below 1e-12 of the spectral bandwidth) are
     dropped before unfolding and their count returned, since symmetry
     multiplets would otherwise contaminate the statistics.  Each surviving
-    spacing is divided by the moving-average spacing over approximately
-    `window` levels around it.
+    spacing is divided by the moving-average spacing over the 21 levels
+    around it (fewer at the ends).
     """
     energies = np.sort(spectrum.eigenvalues)
     dim = len(energies)
@@ -384,7 +378,7 @@ def unfolded_spacings(spectrum, keep_fraction=0.8, window=21):
     if len(raw) < 2:
         raise ValueError("all spacings in the kept window are degenerate")
 
-    half = max(window // 2, 1)
+    half = 10
     local = np.empty_like(raw)
     for k in range(len(raw)):
         lo = max(k - half, 0)

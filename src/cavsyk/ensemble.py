@@ -14,6 +14,7 @@ with the same config is bit-identical.
 """
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -125,9 +126,9 @@ class RunConfig:
                     raise ValueError(
                         f"otoc mode {mode} out of range 0..{self.n_modes - 1}"
                     )
-        if self.sff_unfold not in ("polynomial", "linear", "none"):
+        if self.sff_unfold not in ("polynomial", "linear"):
             raise ValueError(
-                "sff_unfold must be 'polynomial', 'linear', or 'none', "
+                "sff_unfold must be 'polynomial' or 'linear', "
                 f"got {self.sff_unfold!r}"
             )
         if self.extraction_threshold <= 0:
@@ -218,32 +219,18 @@ def split_seed(master_seed, realization_index):
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
 
 
-_STATIC_CACHE = {}
-
-
-def _static_pipeline(config):
+@functools.cache
+def _static_pipeline(
+    model, n_modes, n_particles, grid_diameter, grid_points, zeta, cutoff
+):
     """Grid, trap modes, cavity modes, sector; cached per process."""
-    key = (
-        config.model,
-        config.n_modes,
-        config.n_particles,
-        config.grid_diameter,
-        config.grid_points,
-        config.zeta,
-        config.cutoff,
-    )
-    if key in _STATIC_CACHE:
-        return _STATIC_CACHE[key]
-    sector = fock.enumerate_sector(config.n_modes, config.n_particles)
-    if config.model == "effective":
-        grid = grids.make_grid(config.grid_diameter, config.grid_points)
-        trap = grids.solve_trap_modes(grid, config.n_modes)
-        cavity = grids.cavity_mode_set(config.cutoff, config.zeta, grid)
-    else:
-        grid = trap = cavity = None
-    bundle = (grid, trap, cavity, sector)
-    _STATIC_CACHE[key] = bundle
-    return bundle
+    sector = fock.enumerate_sector(n_modes, n_particles)
+    if model != "effective":
+        return None, None, None, sector
+    grid = grids.make_grid(grid_diameter, grid_points)
+    trap = grids.solve_trap_modes(grid, n_modes)
+    cavity = grids.cavity_mode_set(cutoff, zeta, grid)
+    return grid, trap, cavity, sector
 
 
 def _drive_of(config):
@@ -335,10 +322,8 @@ def _run_realization(config, statics, index):
         )
         if config.sff_unfold == "polynomial":
             basis = dg.unfold_spectrum(spectrum)
-        elif config.sff_unfold == "linear":
-            basis = dg.unfold_spectrum_linear(spectrum)
         else:
-            basis = spectrum
+            basis = dg.unfold_spectrum_linear(spectrum)
         sff = dg.compute_sff(basis, sff_grid)
         arrays["sff_times"] = sff.times.times
         arrays["sff_values"] = sff.values
@@ -351,10 +336,11 @@ def _run_realization(config, statics, index):
     return record, arrays
 
 
-def _worker(payload):
-    config_json, index = payload
-    config = RunConfig.from_dict(json.loads(config_json))
-    statics = _static_pipeline(config)
+def _worker(config, index):
+    statics = _static_pipeline(
+        config.model, config.n_modes, config.n_particles, config.grid_diameter,
+        config.grid_points, config.zeta, config.cutoff,
+    )
     try:
         return index, _run_realization(config, statics, index)
     except Exception as exc:  # skip-and-record failure policy
@@ -526,20 +512,14 @@ def run_ensemble(config):
     run_dir = resolve_run_dir(config)
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    payloads = [
-        (json.dumps(config.to_dict(), sort_keys=True), index)
-        for index in range(config.realizations)
-    ]
+    indices = range(config.realizations)
+    work = functools.partial(_worker, config)
     workers = config.workers or os.cpu_count() or 1
-    results = {}
     if workers > 1 and config.realizations > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, outcome in pool.map(_worker, payloads):
-                results[index] = outcome
+            results = dict(pool.map(work, indices))
     else:
-        for payload in payloads:
-            index, outcome = _worker(payload)
-            results[index] = outcome
+        results = dict(map(work, indices))
 
     for index in sorted(results):
         record, arrays = results[index]

@@ -14,9 +14,9 @@ can be contracted into the quartic Hamiltonian
 including the reference tensors with Gaussian or truncated-Cauchy entries.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 import scipy.linalg
@@ -37,17 +37,10 @@ class FockSector:
     n_modes: int
     n_particles: int
     states: np.ndarray = field(repr=False)
-    lookup: np.ndarray = field(repr=False)
 
     @property
     def dimension(self):
         return len(self.states)
-
-    def index_of(self, mask):
-        row = int(self.lookup[mask])
-        if row < 0:
-            raise KeyError(f"bitmask {mask:b} is not in the sector")
-        return row
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,11 +71,7 @@ class Spectrum:
 
 
 def enumerate_sector(n_modes, n_particles):
-    """List the fixed-filling sector in increasing bitmask order.
-
-    The lookup table maps any n_modes-bit mask to its row, or -1 when the
-    mask has the wrong particle number.
-    """
+    """List the fixed-filling sector in increasing bitmask order."""
     n_modes = int(n_modes)
     n_particles = int(n_particles)
     if not 0 <= n_particles <= n_modes:
@@ -93,68 +82,58 @@ def enumerate_sector(n_modes, n_particles):
         raise CapacityError(
             f"{n_modes} modes exceeds the dense-solver guard of {MAX_MODES}"
         )
-    masks = sorted(
-        sum(1 << p for p in combo)
-        for combo in combinations(range(n_modes), n_particles)
-    )
-    states = np.array(masks, dtype=np.int64)
-    lookup = np.full(1 << n_modes, -1, dtype=np.int32)
-    lookup[states] = np.arange(len(states), dtype=np.int32)
-    return FockSector(n_modes, n_particles, states, lookup)
+    masks = np.arange(1 << n_modes, dtype=np.int64)
+    states = masks[np.bitwise_count(masks) == n_particles]
+    return FockSector(n_modes, n_particles, states)
 
 
-def _pair_rank(i1, i2):
-    # position of (i1, i2), i1 > i2, in the tril pair ordering
-    return i1 * (i1 - 1) // 2 + i2
+def _parity_below(masks, modes):
+    # number of occupied modes below each mode, mod 2
+    return np.bitwise_count(masks & ((1 << modes) - 1)) & 1
 
 
-def _parity_below(mask, j):
-    return (mask & ((1 << j) - 1)).bit_count() & 1
-
-
-_PLAN_CACHE = {}
-
-
-def _contraction_plan(sector):
+@functools.cache
+def _contraction_plan(n_modes, n_particles):
     """Static (source, target, pair, pair, sign) arrays for the contraction.
 
-    Independent of tensor values, so it is computed once per (N, N_p) and
-    reused across realizations.
+    Entries run over source rows, then over the annihilated pairs j2 < j1
+    of the occupied modes, then over the created pairs i2 < i1 of the modes
+    left empty, each pair list in lexicographic order; a pair is numbered
+    by its tril rank i1 (i1 - 1) / 2 + i2.  Independent of tensor values,
+    so it is built once per (N, N_p) and reused across realizations.
     """
-    key = (sector.n_modes, sector.n_particles)
-    if key in _PLAN_CACHE:
-        return _PLAN_CACHE[key]
+    states = enumerate_sector(n_modes, n_particles).states
+    dim = len(states)
+    modes = np.arange(n_modes)
+    column = states[:, None]
+    occupied = np.nonzero((column >> modes) & 1)[1].reshape(dim, -1)
+    a2, a1 = np.triu_indices(n_particles, 1)
+    j2, j1 = occupied[:, a2], occupied[:, a1]
+    stripped = column & ~(1 << j1) & ~(1 << j2)
+    sign_q = _parity_below(column, j1) + _parity_below(column, j2)
+    q = j1 * (j1 - 1) // 2 + j2
 
-    n = sector.n_modes
-    sources, targets, p_idx, q_idx, signs = [], [], [], [], []
-    for row, state in enumerate(sector.states):
-        s = int(state)
-        occupied = [j for j in range(n) if s >> j & 1]
-        for j2, j1 in combinations(occupied, 2):
-            stripped = s & ~(1 << j1) & ~(1 << j2)
-            sign_q = (_parity_below(s, j1) + _parity_below(s, j2)) & 1
-            q = _pair_rank(j1, j2)
-            empty = [i for i in range(n) if not stripped >> i & 1]
-            for i2, i1 in combinations(empty, 2):
-                sign_p = (
-                    _parity_below(stripped, i1) + _parity_below(stripped, i2)
-                ) & 1
-                target = stripped | (1 << i1) | (1 << i2)
-                sources.append(row)
-                targets.append(sector.index_of(target))
-                p_idx.append(_pair_rank(i1, i2))
-                q_idx.append(q)
-                signs.append(-1.0 if (sign_q + sign_p) & 1 else 1.0)
-
-    plan = (
-        np.array(sources, dtype=np.int32),
-        np.array(targets, dtype=np.int32),
-        np.array(p_idx, dtype=np.int32),
-        np.array(q_idx, dtype=np.int32),
-        np.array(signs),
-    )
-    _PLAN_CACHE[key] = plan
-    return plan
+    c2, c1 = np.triu_indices(n_modes - n_particles + 2, 1)
+    shape = (dim, len(a1), len(c1))
+    sources = np.empty(shape, dtype=np.int32)
+    targets = np.empty(shape, dtype=np.int32)
+    p_idx = np.empty(shape, dtype=np.int32)
+    q_idx = np.empty(shape, dtype=np.int32)
+    signs = np.empty(shape)
+    sources[...] = np.arange(dim)[:, None, None]
+    # one annihilated pair at a time keeps the temporaries at (D, C_p)
+    for slot in range(len(a1)):
+        rest = stripped[:, slot, None]
+        empty = np.nonzero((rest >> modes) & 1 == 0)[1].reshape(dim, -1)
+        i2, i1 = empty[:, c2], empty[:, c1]
+        sign = (
+            sign_q[:, slot, None] + _parity_below(rest, i1) + _parity_below(rest, i2)
+        )
+        targets[:, slot] = np.searchsorted(states, rest | (1 << i1) | (1 << i2))
+        p_idx[:, slot] = i1 * (i1 - 1) // 2 + i2
+        q_idx[:, slot] = q[:, slot, None]
+        signs[:, slot] = np.where(sign & 1, -1.0, 1.0)
+    return tuple(a.ravel() for a in (sources, targets, p_idx, q_idx, signs))
 
 
 def build_effective_hamiltonian(tensor, sector, source_model="effective", seed=None):
@@ -168,14 +147,11 @@ def build_effective_hamiltonian(tensor, sector, source_model="effective", seed=N
             f"tensor has {tensor.n_modes} modes but sector has "
             f"{sector.n_modes}"
         )
-    sources, targets, p_idx, q_idx, signs = _contraction_plan(sector)
-    block = tensor.values
+    sources, targets, p_idx, q_idx, signs = _contraction_plan(
+        sector.n_modes, sector.n_particles
+    )
     dim = sector.dimension
-    if len(sources) == 0:
-        dtype = complex if np.iscomplexobj(block) else float
-        return ManyBodyMatrix(sector, np.zeros((dim, dim), dtype=dtype),
-                              source_model, seed)
-    values = 4.0 * signs * block[p_idx, q_idx]
+    values = 4.0 * signs * tensor.values[p_idx, q_idx]
     # element <target| H |source>; coo sums moves that coincide
     matrix = scipy.sparse.coo_matrix(
         (values, (targets, sources)), shape=(dim, dim)

@@ -203,10 +203,6 @@ class CavityModeSet:
     modes: np.ndarray
     family: np.ndarray
 
-    @property
-    def waist(self):
-        return math.sqrt(2.0) * self.zeta
-
 
 def cavity_mode_set(cutoff, zeta, grid):
     """Build all cavity modes g_m with flattened index m = 0..cutoff.

@@ -8,6 +8,7 @@ the two paths is then meaningful evidence rather than a tautology.
 """
 
 import hashlib
+import itertools
 import math
 import struct
 
@@ -177,6 +178,50 @@ def full_space_hamiltonian(values):
     """Same operator applied on all 2^N bitmasks (no sector restriction)."""
     n = values.shape[0]
     return brute_force_hamiltonian(values, list(range(1 << n)))
+
+
+def pair_rank(i1, i2):
+    """Position of the pair (i1, i2), i1 > i2, in the tril pair ordering."""
+    return i1 * (i1 - 1) // 2 + i2
+
+
+def parity_below(mask, j):
+    return (mask & ((1 << j) - 1)).bit_count() & 1
+
+
+def contraction_plan(states, n_modes):
+    """(source, target, pair, pair, sign) arrays by a loop over every state.
+
+    For each source row, each annihilated pair j2 < j1 of its occupied modes
+    and each created pair i2 < i1 of the modes then empty, in that nesting
+    and in itertools.combinations order, one entry of
+    4 T[(i1,i2),(j1,j2)] c+_i1 c+_i2 c_j1 c_j2 with its fermionic sign.
+    """
+    row_of = {int(s): row for row, s in enumerate(states)}
+    sources, targets, p_idx, q_idx, signs = [], [], [], [], []
+    for row, state in enumerate(states):
+        s = int(state)
+        occupied = [j for j in range(n_modes) if s >> j & 1]
+        for j2, j1 in itertools.combinations(occupied, 2):
+            stripped = s & ~(1 << j1) & ~(1 << j2)
+            sign_q = (parity_below(s, j1) + parity_below(s, j2)) & 1
+            empty = [i for i in range(n_modes) if not stripped >> i & 1]
+            for i2, i1 in itertools.combinations(empty, 2):
+                sign_p = (
+                    parity_below(stripped, i1) + parity_below(stripped, i2)
+                ) & 1
+                sources.append(row)
+                targets.append(row_of[stripped | (1 << i1) | (1 << i2)])
+                p_idx.append(pair_rank(i1, i2))
+                q_idx.append(pair_rank(j1, j2))
+                signs.append(-1.0 if (sign_q + sign_p) & 1 else 1.0)
+    return (
+        np.array(sources, dtype=np.int32),
+        np.array(targets, dtype=np.int32),
+        np.array(p_idx, dtype=np.int32),
+        np.array(q_idx, dtype=np.int32),
+        np.array(signs),
+    )
 
 
 # ---------------------------------------------------------------------------

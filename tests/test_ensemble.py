@@ -157,6 +157,7 @@ def test_config_rejects_unknown_keys():
         (dict(keep_fraction=1.5), "keep_fraction"),
         (dict(workers=0), "workers"),
         (dict(workers=-3), "workers"),
+        (dict(sff_unfold="none"), "sff_unfold"),
     ],
 )
 def test_config_validation_rejects(overrides, match):

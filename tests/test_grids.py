@@ -1,7 +1,5 @@
 """Grid construction, trap eigenmodes, and cavity mode family."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -154,12 +152,6 @@ def test_cavity_modes_unit_norm_on_grid():
     modes = cs.cavity_mode_set(9, 1.0, grid)
     norms = (modes.modes.reshape(10, -1) ** 2).sum(axis=1) * grid.cell_area
     assert np.abs(norms - 1.0).max() < 1e-6
-
-
-def test_cavity_waist_convention():
-    grid = cs.make_grid(10.0, 200)
-    modes = cs.cavity_mode_set(3, 1.5, grid)
-    assert modes.waist == pytest.approx(math.sqrt(2.0) * 1.5)
 
 
 def test_cavity_nyquist_guard():

@@ -20,6 +20,7 @@ from .ensemble import (
     run_ensemble,
     write_comparison_csv,
 )
+from .errors import CapacityError, ResolutionError
 
 
 def _load_config(path, overrides):
@@ -41,7 +42,11 @@ def _cmd_run(args):
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    manifest = run_ensemble(config)
+    try:
+        manifest = run_ensemble(config)
+    except (ResolutionError, CapacityError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     agg = manifest.aggregates
     print(f"run {config.label()} -> {manifest.run_dir}")
     print(

@@ -2,7 +2,8 @@
 
 The chain implemented here is: overlap integrals I~[i, j, m] of trap-mode
 pairs with each cavity mode (weighted by the drive profile and the inverse
-detuning ratio), then the antisymmetrized tensor
+detuning ratio), contracted one grid axis at a time because both mode
+families are products of 1D factors, then the antisymmetrized tensor
 
     Jt[i1, i2, j1, j2] = sum_m (I~[i1,j1,m] I~*[j2,i2,m]
                                 - I~[i2,j1,m] I~*[j2,i1,m]
@@ -102,34 +103,30 @@ def compute_integrals(trap_modes, cavity_modes, detuning, drive=UNIFORM_DRIVE):
 
     I~[i, j, m] = (1/2) sum_r g_d(r) g_m(r) phi_i(r) phi_j(r) / ratio(r) h^2.
 
-    All three field sets must live on the same grid.  The result is exactly
-    symmetric in (i, j); real when the drive is uniform.
+    Both mode sets are tables of 1D factors and only the weight
+    W = (h^2 / 2) g_d / ratio is not separable, so for every pair i <= j the sum
+    runs one axis at a time: over x by one GEMM against W, then over y by a
+    batched matmul against the cavity factors.  All fields must share one grid.
+    The result is exactly symmetric in (i, j), and real for a uniform drive.
     """
     grid = trap_modes.grid
-    if not same_grid(grid, cavity_modes.grid) or not same_grid(
-        grid, detuning.grid
-    ):
+    if not (same_grid(grid, cavity_modes.grid) and same_grid(grid, detuning.grid)):
         raise ValueError("trap modes, cavity modes and detuning must share a grid")
 
-    n = trap_modes.count
-    m_count = cavity_modes.cutoff + 1
     weight = (0.5 * grid.cell_area) * drive.field_on(grid) / detuning.ratio
-    phi = trap_modes.modes.reshape(n, -1)
-
-    entries = np.empty((n, n, m_count), dtype=weight.dtype)
-    w_flat = weight.ravel()
-    for m in range(m_count):
-        b = cavity_modes.modes[m].ravel() * w_flat
-        entries[:, :, m] = (phi * b) @ phi.T
-    # the integrand is symmetric in i <-> j; remove round-off asymmetry
-    entries = 0.5 * (entries + entries.transpose(1, 0, 2))
-    return IntegralTable(
-        entries,
-        cavity_modes.family.copy(),
-        cavity_modes.zeta,
-        cavity_modes.cutoff,
-        drive,
-    )
+    a, c = trap_modes.modes, cavity_modes.modes
+    nx, ny = trap_modes.quantum_numbers.T
+    i, j = np.triu_indices(trap_modes.count)
+    # u[p, k, y] = sum_x a[nx_i, x] a[nx_j, x] c[k, x] W[x, y]
+    u = (a[nx[i], None] * a[nx[j], None] * c).reshape(-1, grid.points_per_axis)
+    u = (u @ weight).reshape(len(i), len(c), -1)
+    # v[p, k, l] = sum_y u[p, k, y] a[ny_i, y] a[ny_j, y] c[l, y]
+    v = (u * (a[ny[i]] * a[ny[j]])[:, None]) @ c.T
+    kx, ky = cavity_modes.labels.T
+    entries = np.empty((trap_modes.count,) * 2 + kx.shape, dtype=v.dtype)
+    entries[i, j] = entries[j, i] = v[:, kx, ky]
+    family, zeta = cavity_modes.family, cavity_modes.zeta
+    return IntegralTable(entries, family, zeta, cavity_modes.cutoff, drive)
 
 
 def compute_coupling_tensor(integrals, delta_omega_tilde, cutoff, normalize=True):

@@ -336,11 +336,7 @@ def _run_realization(config, statics, index):
     return record, arrays
 
 
-def _worker(config, index):
-    statics = _static_pipeline(
-        config.model, config.n_modes, config.n_particles, config.grid_diameter,
-        config.grid_points, config.zeta, config.cutoff,
-    )
+def _worker(config, statics, index):
     try:
         return index, _run_realization(config, statics, index)
     except Exception as exc:  # skip-and-record failure policy
@@ -503,17 +499,21 @@ def run_ensemble(config):
 
     Individual realization failures are recorded in the manifest and the
     aggregates are computed over the survivors; only a config-level problem
-    raises.
+    raises, unbuildable statics included, and before the run directory exists.
     """
     from . import __version__
 
     config.validate()
     started = time.time()
+    statics = _static_pipeline(
+        config.model, config.n_modes, config.n_particles, config.grid_diameter,
+        config.grid_points, config.zeta, config.cutoff,
+    )
     run_dir = resolve_run_dir(config)
     run_dir.mkdir(parents=True, exist_ok=True)
 
     indices = range(config.realizations)
-    work = functools.partial(_worker, config)
+    work = functools.partial(_worker, config, statics)
     workers = config.workers or os.cpu_count() or 1
     if workers > 1 and config.realizations > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -4,6 +4,9 @@ All lengths are expressed in units of the trap oscillator length x0 and all
 energies in units of the trap frequency; both are set to 1.  Fields live on
 a square grid of points_per_axis x points_per_axis coordinates centered at
 the origin, with array axis 0 running along x and axis 1 along y.
+
+Both mode families are products of 1D functions and are stored as tables of
+1D factors: mode (n_x, n_y) is np.outer(modes[n_x], modes[n_y]), never formed.
 """
 
 import math
@@ -71,10 +74,11 @@ def same_grid(a, b):
 class TrapModeSet:
     """The N energetically lowest eigenmodes of the 2D harmonic trap.
 
-    modes[i] is a real (Nx, Nx) array normalized under Riemann quadrature,
-    energies[i] the matching eigenvalue of the discretized trap Hamiltonian,
-    and quantum_numbers[i] = (n_x, n_y) the oscillator labels inferred from
-    the 1D factor solutions.
+    modes is the (level + 1, Nx) table of 1D eigenvectors scaled by 1/sqrt(h),
+    each with a positive first nonzero entry.  Mode i with oscillator labels
+    quantum_numbers[i] = (n_x, n_y) is np.outer(modes[n_x], modes[n_y]),
+    Riemann-normalized and positive at its first nonzero grid point, with
+    eigenvalue energies[i] of the discretized trap Hamiltonian.
     """
 
     grid: GridSpec
@@ -105,8 +109,7 @@ def solve_trap_modes(grid, n_modes):
     sums of 1D ones and eigenvectors are products of 1D vectors, which makes
     every mode a definite-parity product state by construction.
 
-    Modes are sorted by (energy, n_x) and sign-fixed so the first nonzero
-    coefficient in lexicographic grid order is positive.
+    Modes are sorted by (energy, n_x); only the 1D factor table is stored.
 
     Raises
     ------
@@ -144,21 +147,15 @@ def solve_trap_modes(grid, n_modes):
 
     pairs = [(nx, ny) for nx in range(level + 1) for ny in range(level + 1)]
     pairs.sort(key=lambda p: (energies_1d[p[0]] + energies_1d[p[1]], p[0]))
-    pairs = pairs[:n_modes]
+    labels = np.array(pairs[:n_modes])
 
-    modes = np.empty((n_modes, n_x, n_x))
-    energies = np.empty(n_modes)
-    for k, (nx, ny) in enumerate(pairs):
-        # 1D vectors are unit 2-norm, so the product over h is Riemann-normalized
-        mode = np.outer(vectors_1d[:, nx], vectors_1d[:, ny]) / h
-        flat = mode.ravel()
-        first = flat[np.nonzero(flat)[0][0]]
-        if first < 0:
-            mode = -mode
-        modes[k] = mode
-        energies[k] = energies_1d[nx] + energies_1d[ny]
-
-    return TrapModeSet(grid, energies, modes, np.array(pairs))
+    # unit 2-norm vectors give Riemann-normalized outer products, and two
+    # factors that start positive give a 2D mode that starts positive
+    table = vectors_1d.T / math.sqrt(h)
+    first = table[np.arange(level + 1), np.argmax(table != 0.0, axis=1)]
+    table *= np.where(first < 0.0, -1.0, 1.0)[:, None]
+    energies = energies_1d[labels[:, 0]] + energies_1d[labels[:, 1]]
+    return TrapModeSet(grid, energies, table, labels)
 
 
 def cantor_unpair(m):
@@ -190,18 +187,24 @@ def hermite_functions(n_max, u):
 
 @dataclass(frozen=True, eq=False)
 class CavityModeSet:
-    """Cavity modes g_0..g_M with their mode-family indices.
+    """Cavity modes g_0..g_M as a table of 1D Hermite-Gauss factors.
 
-    family[m] = n_x + n_y determines the mode frequency offset; the
-    1 / (1 + family * delta_omega_tilde) weights are applied downstream when
-    the coupling tensor is contracted.
+    modes is the (n_max + 1, Nx) table of 1D functions on the grid axis and
+    labels[m] = (n_x, n_y) the indices of mode m, so g_m is
+    np.outer(modes[n_x], modes[n_y]).  family[m] = n_x + n_y determines the
+    mode frequency offset; the 1 / (1 + family * delta_omega_tilde) weights
+    are applied downstream when the coupling tensor is contracted.
     """
 
     grid: GridSpec
     zeta: float
     cutoff: int
     modes: np.ndarray
-    family: np.ndarray
+    labels: np.ndarray
+
+    @property
+    def family(self):
+        return self.labels.sum(axis=1)
 
 
 def cavity_mode_set(cutoff, zeta, grid):
@@ -209,16 +212,15 @@ def cavity_mode_set(cutoff, zeta, grid):
 
     g_m is the product of 1D Hermite-Gauss functions with indices
     (n_x, n_y) = cantor_unpair(m) and length scale w0 / sqrt(2) = zeta,
-    for the waist w0 = sqrt(2) * zeta.
+    for the waist w0 = sqrt(2) * zeta.  Only the 1D factor table is stored.
     """
     if cutoff < 0:
         raise ValueError(f"mode cutoff must be nonnegative, got {cutoff}")
     if zeta <= 0:
         raise ValueError(f"zeta must be positive, got {zeta}")
     scale = float(zeta)
-    labels = [cantor_unpair(m) for m in range(cutoff + 1)]
-    family = np.array([nx + ny for nx, ny in labels])
-    top = int(family.max())
+    labels = np.array([cantor_unpair(m) for m in range(cutoff + 1)])
+    top = int(labels.sum(axis=1).max())
     k_max = math.sqrt(2.0 * (top + 1)) / scale
     if grid.spacing >= math.pi / k_max:
         raise ResolutionError(
@@ -226,9 +228,5 @@ def cavity_mode_set(cutoff, zeta, grid):
             f"{top}; need spacing below {math.pi / k_max:g}"
         )
 
-    n_max = max(max(nx, ny) for nx, ny in labels)
-    table = hermite_functions(n_max, grid.axis / scale) / math.sqrt(scale)
-    modes = np.empty((cutoff + 1, grid.points_per_axis, grid.points_per_axis))
-    for m, (nx, ny) in enumerate(labels):
-        modes[m] = np.outer(table[nx], table[ny])
-    return CavityModeSet(grid, float(zeta), int(cutoff), modes, family)
+    table = hermite_functions(labels.max(), grid.axis / scale) / math.sqrt(scale)
+    return CavityModeSet(grid, scale, int(cutoff), table, labels)

@@ -74,6 +74,28 @@ def cavity_mode(m, zeta, grid):
     return np.outer(table[nx], table[ny]) / zeta
 
 
+def overlap_integrals(trap, cavity, detuning, drive):
+    """(N, N, M+1) integral table by a 2D Riemann sum per cavity mode.
+
+    Each trap and cavity mode is formed as its full 2D grid array (np.outer
+    of the stored trap factors; cavity_mode for the cavity), and every
+    column m is one weighted sum over all grid points per trap-mode pair,
+    with no axis-by-axis factorization.
+    """
+    phi = np.stack([
+        np.outer(trap.modes[nx], trap.modes[ny]).ravel()
+        for nx, ny in trap.quantum_numbers
+    ])
+    grid = trap.grid
+    weight = (0.5 * grid.cell_area) * drive.field_on(grid) / detuning.ratio
+    w_flat = weight.ravel()
+    entries = np.empty((trap.count, trap.count, cavity.cutoff + 1), weight.dtype)
+    for m in range(cavity.cutoff + 1):
+        b = cavity_mode(m, cavity.zeta, grid).ravel() * w_flat
+        entries[:, :, m] = (phi * b) @ phi.T
+    return entries
+
+
 # ---------------------------------------------------------------------------
 # the full four-index coupling tensor
 

@@ -4,8 +4,8 @@ Each test prints a single summary line with the measured values next to its
 tolerance. The runs are produced by the public ensemble runner with pinned
 master seeds, so every number here is bit-reproducible.  The ensembles run
 on two worker processes (parallel runs equal serial ones bit for bit, which
-criterion 10 checks); expect roughly ten minutes of wall time for the
-whole module on two cores and fifteen on one.
+criterion 10 checks); expect roughly four minutes of wall time for the
+whole module on two cores and eight on one.
 
 Claims covered, in order: trap-mode accuracy, speckle intensity law,
 coupling-tensor algebra, coupling-distribution shape, mode-cutoff

@@ -70,6 +70,26 @@ def test_integrals_match_adaptive_quadrature(clean_table, trap):
     assert worst < 5e-4, f"worst |integral| deviation {worst:.2e}"
 
 
+@pytest.mark.parametrize(
+    "drive",
+    [cs.UNIFORM_DRIVE, cs.plane_wave_drive(1.3)],
+    ids=["uniform", "plane_wave"],
+)
+@pytest.mark.parametrize("n_modes", [6, 10, 14])
+def test_integrals_match_2d_riemann_oracle(grid, n_modes, drive):
+    # the axis-by-axis contraction against one 2D grid sum per cavity mode;
+    # cutoff 100 ends inside family 13, so labels select a partial family
+    trap = cs.solve_trap_modes(grid, n_modes)
+    cavity = cs.cavity_mode_set(100, 1.0, grid)
+    for seed in (1, 2):
+        ratio = cs.detuning_ratio(cs.generate_speckle(grid, 17.0, seed=seed))
+        entries = cp.compute_integrals(trap, cavity, ratio, drive).entries
+        expected = oracles.overlap_integrals(trap, cavity, ratio, drive)
+        peak = np.abs(expected).max()
+        assert np.abs(entries - expected).max() < 1e-14 * peak
+        assert np.array_equal(entries, entries.transpose(1, 0, 2))
+
+
 def test_integrals_exactly_symmetric(disordered_table):
     e = disordered_table.entries
     assert np.array_equal(e, e.transpose(1, 0, 2))

@@ -582,6 +582,32 @@ def test_cli_run_rejects_out_of_range_otoc_mode(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (
+            lambda: effective_config(grid_points=20, cutoff=240, workers=2),
+            "undersamples cavity mode family 21",
+        ),
+        (
+            lambda: gauss_config(n_modes=22, n_particles=11, workers=2),
+            "exceeds the dense-solver guard",
+        ),
+    ],
+    ids=["resolution", "capacity"],
+)
+def test_cli_run_rejects_unbuildable_statics(tmp_path, capsys, build, message):
+    # statics are built once in the parent before the run directory exists,
+    # so a grid that cannot resolve the modes or an oversized sector is a
+    # config error rather than a crashed worker pool
+    config = dataclasses.replace(build(), output_dir=str(tmp_path / "run"))
+    config_path = write_config(tmp_path / "config.json", config)
+    assert cli.main(["run", config_path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_run_partial_exit_code(tmp_path, monkeypatch, capsys):
     real = en._run_realization
 

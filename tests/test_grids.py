@@ -10,6 +10,18 @@ from cavsyk.errors import ResolutionError
 import oracles
 
 
+def trap_modes_2d(trap):
+    # each stored mode set keeps 1D factors; the 2D modes are their products
+    return [
+        np.outer(trap.modes[nx], trap.modes[ny]) for nx, ny in trap.quantum_numbers
+    ]
+
+
+def cavity_mode_2d(cavity, m):
+    nx, ny = cavity.labels[m]
+    return np.outer(cavity.modes[nx], cavity.modes[ny])
+
+
 def test_grid_axis_reflection_symmetric():
     grid = cs.make_grid(10.0, 200)
     assert np.array_equal(grid.axis, -grid.axis[::-1])
@@ -48,7 +60,7 @@ def test_trap_energies_match_harmonic_ladder():
 def test_trap_modes_orthonormal_under_quadrature():
     grid = cs.make_grid(10.0, 200)
     trap = cs.solve_trap_modes(grid, 10)
-    flat = trap.modes.reshape(10, -1)
+    flat = np.stack([mode.ravel() for mode in trap_modes_2d(trap)])
     gram = flat @ flat.T * grid.cell_area
     assert np.abs(gram - np.eye(10)).max() < 1e-10
 
@@ -66,7 +78,7 @@ def test_trap_mode_ordering_and_labels():
 def test_trap_mode_sign_convention():
     grid = cs.make_grid(10.0, 200)
     trap = cs.solve_trap_modes(grid, 6)
-    for mode in trap.modes:
+    for mode in trap_modes_2d(trap):
         flat = mode.ravel()
         assert flat[np.nonzero(flat)[0][0]] > 0
 
@@ -75,7 +87,7 @@ def test_trap_modes_match_closed_form():
     grid = cs.make_grid(10.0, 200)
     trap = cs.solve_trap_modes(grid, 6)
     x = grid.axis
-    for mode, (nx, ny) in zip(trap.modes, trap.quantum_numbers):
+    for mode, (nx, ny) in zip(trap_modes_2d(trap), trap.quantum_numbers):
         ref = oracles.trap_mode_2d(nx, ny, x, x)
         # same mode up to the grid sign gauge; 5e-4 is the discretization
         # error of the finite-difference eigenvectors at this resolution
@@ -136,7 +148,7 @@ def test_cavity_modes_match_scaled_family():
         ref = np.outer(
             oracles.cavity_mode_1d(nx, x, zeta), oracles.cavity_mode_1d(ny, x, zeta)
         )
-        assert np.abs(modes.modes[m] - ref).max() < 1e-12
+        assert np.abs(cavity_mode_2d(modes, m) - ref).max() < 1e-12
         assert modes.family[m] == nx + ny
 
 
@@ -144,14 +156,26 @@ def test_cavity_mode_single_matches_set():
     grid = cs.make_grid(10.0, 200)
     modes = cs.cavity_mode_set(5, 1.0, grid)
     for m in range(6):
-        assert np.array_equal(oracles.cavity_mode(m, 1.0, grid), modes.modes[m])
+        assert np.array_equal(
+            oracles.cavity_mode(m, 1.0, grid), cavity_mode_2d(modes, m)
+        )
 
 
 def test_cavity_modes_unit_norm_on_grid():
     grid = cs.make_grid(12.0, 240)
     modes = cs.cavity_mode_set(9, 1.0, grid)
-    norms = (modes.modes.reshape(10, -1) ** 2).sum(axis=1) * grid.cell_area
+    flat = np.stack([cavity_mode_2d(modes, m).ravel() for m in range(10)])
+    norms = (flat ** 2).sum(axis=1) * grid.cell_area
     assert np.abs(norms - 1.0).max() < 1e-6
+
+
+def test_mode_sets_store_only_1d_factors():
+    grid = cs.make_grid(10.0, 200)
+    cavity = cs.cavity_mode_set(240, 1.0, grid)
+    trap = cs.solve_trap_modes(grid, 15)
+    assert cavity.modes.nbytes < 1e5
+    assert cavity.modes.shape == (22, 200)
+    assert trap.modes.ndim == 2
 
 
 def test_cavity_nyquist_guard():

@@ -61,14 +61,26 @@ class SffSeries:
 def compute_otoc(spectrum, times, mode_i=0, mode_j=1):
     """F(t) = tr(W(t) V W(t) V) / D for W = 2 n_i - 1, V = 2 n_j - 1.
 
-    Uses the eigenbasis: with Wt = U* W U and phase matrix
-    E(t)_{mn} = exp(i (E_m - E_n) t), the Heisenberg operator is Wt * E(t)
-    entrywise and the trace needs two matrix products per time.  For real
-    eigenvectors the product splits into cosine and sine parts, so each time
-    point costs two real matrix multiplies.
+    W and V are diagonal signs in the Fock basis, W = 2 P_i - 1 and
+    V = 2 P_j - 1, with P_i, P_j the projectors onto n_i = 1 and n_j = 1.
+    Expanding the product with W^2 = V^2 = 1 leaves two traces of the block
+    K(t) = P_i exp(-iHt) P_j of the propagator between the two occupied
+    subspaces:
 
-    The t = 0 entry is set to 1 exactly: W and V are diagonal sign flips, so
-    (W V)^2 is the identity as an operator statement, not a numerical one.
+        F(t) = 1 + (16 / D) (||K K^H||_F^2 - ||K||_F^2),
+
+    at any filling.  In the eigenbasis K = U_i diag(exp(-iEt)) U_j^H, where
+    U_i and U_j are the rows of the eigenvector matrix at the states with
+    bit i and bit j set, so each time point costs one r x D x r product
+    (r = C(N-1, N_p-1) rows, half of D at half filling) plus the r x r Gram
+    matrix of K.  Real eigenvectors split K = A - iB with A = U_i cos(Et)
+    U_j^T and B = U_i sin(Et) U_j^T, so that ||K||^2 = ||A||^2 + ||B||^2 and
+    ||K K^H||^2 = ||A A^T + B B^T||^2 + ||A B^T - B A^T||^2.
+
+    F is real: W and V are Hermitian, so the trace equals its own complex
+    conjugate by cyclicity, and the values are returned as a real array.
+    The t = 0 entry is set to 1 exactly: (W V)^2 is the identity as an
+    operator statement, not a numerical one.
     """
     if spectrum.vectors is None:
         raise ValueError("OTOC needs eigenvectors; diagonalize with keep_vectors")
@@ -79,36 +91,32 @@ def compute_otoc(spectrum, times, mode_i=0, mode_j=1):
         raise ValueError(f"mode indices ({mode_i}, {mode_j}) out of range 0..{n-1}")
 
     states = spectrum.sector.states
-    w_diag = 2.0 * ((states >> mode_i) & 1) - 1.0
-    v_diag = 2.0 * ((states >> mode_j) & 1) - 1.0
     u = spectrum.vectors
-    dim = spectrum.dimension
+    u_i = u[(states >> mode_i) & 1 == 1]
+    u_j = u[(states >> mode_j) & 1 == 1]
+    energies = spectrum.eigenvalues
+    scale = 16.0 / spectrum.dimension
 
-    if np.iscomplexobj(u):
-        w_tilde = u.conj().T @ (w_diag[:, None] * u)
-        v_tilde = u.conj().T @ (v_diag[:, None] * u)
-        real_vectors = False
-    else:
-        w_tilde = u.T @ (w_diag[:, None] * u)
-        v_tilde = u.T @ (v_diag[:, None] * u)
-        real_vectors = True
-
-    delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
-    values = np.empty(times.count, dtype=complex)
+    values = np.empty(times.count)
     for k, t in enumerate(times.times):
         if t == 0.0:
             values[k] = 1.0
             continue
-        theta = delta * t
-        if real_vectors:
-            b_re = (w_tilde * np.cos(theta)) @ v_tilde
-            b_im = (w_tilde * np.sin(theta)) @ v_tilde
-            re = np.sum(b_re * b_re.T) - np.sum(b_im * b_im.T)
-            im = np.sum(b_re * b_im.T) + np.sum(b_im * b_re.T)
-            values[k] = complex(re, im) / dim
+        phase = energies * t
+        if np.iscomplexobj(u):
+            block = (u_i * np.exp(-1j * phase)) @ u_j.conj().T
+            gram = block @ block.conj().T
+            quartic = np.vdot(gram, gram).real
+            quadratic = np.vdot(block, block).real
         else:
-            b = (w_tilde * np.exp(1j * theta)) @ v_tilde
-            values[k] = np.sum(b * b.T) / dim
+            a = (u_i * np.cos(phase)) @ u_j.T
+            b = (u_i * np.sin(phase)) @ u_j.T
+            cross = a @ b.T
+            gram_re = a @ a.T + b @ b.T
+            gram_im = cross - cross.T
+            quartic = np.vdot(gram_re, gram_re) + np.vdot(gram_im, gram_im)
+            quadratic = np.vdot(a, a) + np.vdot(b, b)
+        values[k] = 1.0 + scale * (quartic - quadratic)
     return OtocSeries(times, values, mode_i, mode_j)
 
 
@@ -140,7 +148,12 @@ def compute_sff(spectrum, times):
     """S(t) = |sum_n exp(-i E_n t)|^2 / D^2 on the given grid."""
     energies = spectrum.eigenvalues
     dim = len(energies)
-    z = np.exp(-1j * times.times[:, None] * energies[None, :]).sum(axis=1)
+    t = times.times
+    z = np.empty(len(t), dtype=complex)
+    # 64 time rows at a time bound the phase matrix; rows sum independently,
+    # so the blocks change no bit of the result
+    for k in range(0, len(t), 64):
+        z[k:k + 64] = np.exp(-1j * t[k:k + 64, None] * energies).sum(axis=1)
     values = (z.real**2 + z.imag**2) / dim**2
     return SffSeries(times, values, dim)
 

@@ -438,9 +438,13 @@ def _aggregate(config, run_dir, results):
         )
         try:
             aggregates["t_star"] = dg.extract_decay_time(series)
+            aggregates["scrambling_rate"] = 1.0 / aggregates["t_star"]
         except ExtractionError as exc:
             aggregates["t_star"] = None
             aggregates["t_star_error"] = str(exc)
+            # a mean that never reaches 1/e scrambles slower than any that does
+            never_crosses = mean.real.min() >= math.exp(-1.0)
+            aggregates["scrambling_rate"] = 0.0 if never_crosses else None
 
     if config.compute_sff:
         times = good[0][1]["sff_times"]
@@ -588,8 +592,9 @@ def _check_comparable(this, reference):
 def compare_runs(manifests, reference):
     """Benchmark runs against a reference run (normally the Gaussian model).
 
-    For each run the report lists the scrambling-rate ratio
-    (1/t*) / (1/t*_ref) and the ramp-time deviation
+    For each run the report lists the scrambling rate 1/t* (0 for a mean
+    OTOC that never decays to 1/e), its ratio to the reference's rate when
+    that is positive, and the ramp-time deviation
     eps_r = |t_r - t_r_ref| / t_r_ref.  If three or more runs carry a
     delta_omega_tilde and a valid eps_r, the power-law exponent alpha of
     eps_r against 1/delta_omega_tilde is fitted as well.
@@ -603,12 +608,13 @@ def compare_runs(manifests, reference):
             "model": data["config"]["model"],
             "delta_omega_tilde": data["config"].get("delta_omega_tilde"),
             "t_star": data["aggregates"].get("t_star"),
+            "scrambling_rate": data["aggregates"].get("scrambling_rate"),
             "t_ramp": data["aggregates"].get("t_ramp"),
             "t_heisenberg": data["aggregates"].get("t_heisenberg"),
         }
-        t_star_ref = ref["aggregates"].get("t_star")
-        if row["t_star"] and t_star_ref:
-            row["scrambling_ratio"] = t_star_ref / row["t_star"]
+        rate_ref = ref["aggregates"].get("scrambling_rate")
+        if row["scrambling_rate"] is not None and rate_ref:
+            row["scrambling_ratio"] = row["scrambling_rate"] / rate_ref
         t_r_ref = ref["aggregates"].get("t_ramp")
         if row["t_ramp"] and t_r_ref:
             row["epsilon_r"] = abs(row["t_ramp"] - t_r_ref) / t_r_ref
@@ -618,6 +624,7 @@ def compare_runs(manifests, reference):
         "reference": {
             "model": ref["config"]["model"],
             "t_star": ref["aggregates"].get("t_star"),
+            "scrambling_rate": ref["aggregates"].get("scrambling_rate"),
             "t_ramp": ref["aggregates"].get("t_ramp"),
         },
         "runs": rows,

@@ -263,6 +263,44 @@ def propagator_otoc(matrix, w_diag, v_diag, times):
     return out
 
 
+def eigenbasis_otoc(spectrum, times, mode_i, mode_j):
+    """F(t) = tr(W(t) V W(t) V)/D from the full D x D Heisenberg operator.
+
+    With Wt = U^H W U and phase matrix E(t)_{mn} = exp(i (E_m - E_n) t),
+    W(t) = Wt * E(t) entrywise, and the trace takes two D x D x D products
+    per time point; for real eigenvectors they split into cosine and sine
+    parts.  Returns complex values, so the imaginary part shows round-off.
+    """
+    states = spectrum.sector.states
+    w_diag = 2.0 * ((states >> mode_i) & 1) - 1.0
+    v_diag = 2.0 * ((states >> mode_j) & 1) - 1.0
+    u = spectrum.vectors
+    dim = spectrum.dimension
+    w_tilde = u.conj().T @ (w_diag[:, None] * u)
+    v_tilde = u.conj().T @ (v_diag[:, None] * u)
+    delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
+    out = np.empty(len(times), dtype=complex)
+    for k, t in enumerate(times):
+        theta = delta * t
+        if np.iscomplexobj(u):
+            b = (w_tilde * np.exp(1j * theta)) @ v_tilde
+            out[k] = np.sum(b * b.T) / dim
+        else:
+            b_re = (w_tilde * np.cos(theta)) @ v_tilde
+            b_im = (w_tilde * np.sin(theta)) @ v_tilde
+            re = np.sum(b_re * b_re.T) - np.sum(b_im * b_im.T)
+            im = np.sum(b_re * b_im.T) + np.sum(b_im * b_re.T)
+            out[k] = complex(re, im) / dim
+    return out
+
+
+def one_shot_sff(eigenvalues, times):
+    """|sum_n exp(-i E_n t)|^2 / D^2 from the whole (T, D) phase matrix."""
+    d = len(eigenvalues)
+    z = np.exp(-1j * times[:, None] * eigenvalues[None, :]).sum(axis=1)
+    return (z.real**2 + z.imag**2) / d**2
+
+
 def direct_sff(eigenvalues, times):
     d = len(eigenvalues)
     out = np.empty(len(times))

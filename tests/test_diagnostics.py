@@ -60,7 +60,7 @@ def test_log_time_grid_validation():
 
 
 # ---------------------------------------------------------------------------
-# OTOC against the dense-propagator oracle
+# OTOC against the eigenbasis and dense-propagator oracles
 
 
 def test_otoc_matches_propagator_oracle(small_spectrum):
@@ -72,6 +72,9 @@ def test_otoc_matches_propagator_oracle(small_spectrum):
     v = 2.0 * ((states >> 1) & 1) - 1.0
     direct = oracles.propagator_otoc(matrix.matrix, w, v, times.times)
     assert np.abs(series.values - direct).max() < 1e-9
+    eigen = oracles.eigenbasis_otoc(spectrum, times.times, 0, 1)
+    assert np.abs(series.values - eigen).max() < 1e-12
+    assert np.all(series.values.imag == 0.0)
 
 
 def test_otoc_complex_hamiltonian_matches_oracle():
@@ -86,6 +89,58 @@ def test_otoc_complex_hamiltonian_matches_oracle():
     v = 2.0 * ((states >> 4) & 1) - 1.0
     direct = oracles.propagator_otoc(matrix.matrix, w, v, times.times)
     assert np.abs(series.values - direct).max() < 1e-9
+    eigen = oracles.eigenbasis_otoc(spectrum, times.times, 2, 4)
+    assert np.abs(series.values - eigen).max() < 1e-12
+    assert np.all(series.values.imag == 0.0)
+
+
+def butterfly_signs(states, mode):
+    return 2.0 * ((states >> mode) & 1) - 1.0
+
+
+@pytest.mark.parametrize(
+    "n_modes, n_particles, mode_i, mode_j, kind",
+    [
+        (8, 3, 5, 2, "real"),
+        (9, 4, 0, 8, "complex"),
+        (7, 1, 3, 0, "real"),
+        (6, 6, 0, 1, "real"),
+        (6, 0, 0, 1, "real"),
+        (8, 7, 6, 1, "complex"),
+    ],
+)
+def test_otoc_matches_both_oracles(n_modes, n_particles, mode_i, mode_j, kind):
+    sector = fock.enumerate_sector(n_modes, n_particles)
+    tensor = fock.sample_syk_gaussian(n_modes, kind, seed=n_modes + n_particles)
+    matrix = fock.build_effective_hamiltonian(tensor, sector)
+    spectrum = fock.diagonalize(matrix, keep_vectors=True)
+    times = dg.log_time_grid(0.05, 20.0, 8, include_zero=True)
+    series = dg.compute_otoc(spectrum, times, mode_i, mode_j)
+    eigen = oracles.eigenbasis_otoc(spectrum, times.times, mode_i, mode_j)
+    direct = oracles.propagator_otoc(
+        matrix.matrix,
+        butterfly_signs(sector.states, mode_i),
+        butterfly_signs(sector.states, mode_j),
+        times.times,
+    )
+    assert np.abs(series.values - eigen).max() < 1e-12
+    assert np.abs(series.values - direct).max() < 1e-9
+    assert np.all(series.values.imag == 0.0)
+    assert series.values[0] == 1.0
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_otoc_half_filling_n10_matches_eigenbasis_oracle(kind):
+    sector = fock.enumerate_sector(10, 5)
+    tensor = fock.sample_syk_gaussian(10, kind, seed=11)
+    matrix = fock.build_effective_hamiltonian(tensor, sector)
+    spectrum = fock.diagonalize(matrix, keep_vectors=True)
+    times = dg.log_time_grid(0.05, 50.0, 4, include_zero=True)
+    series = dg.compute_otoc(spectrum, times, 7, 2)
+    eigen = oracles.eigenbasis_otoc(spectrum, times.times, 7, 2)
+    assert np.abs(series.values - eigen).max() < 1e-12
+    assert np.all(series.values.imag == 0.0)
+    assert series.values[0] == 1.0
 
 
 def test_otoc_real_and_complex_paths_agree(small_spectrum):
@@ -149,6 +204,16 @@ def test_sff_matches_direct_oracle(small_spectrum):
     direct = oracles.direct_sff(spectrum.eigenvalues, times.times)
     assert np.abs(series.values - direct).max() < 1e-12
     assert series.dimension == spectrum.dimension
+
+
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 150])
+def test_sff_time_blocks_match_one_shot_sum_exactly(count):
+    rng = np.random.default_rng(count)
+    energies = np.sort(rng.normal(size=300))
+    spectrum = fock.Spectrum(None, energies)
+    times = dg.TimeGrid(np.geomspace(0.1, 500.0, count))
+    series = dg.compute_sff(spectrum, times)
+    assert np.array_equal(series.values, oracles.one_shot_sff(energies, times.times))
 
 
 @given(

@@ -217,7 +217,8 @@ def test_records_and_layout(gauss_run):
     assert agg["n_success"] == config.realizations
     assert agg["n_failed"] == 0
     for key in (
-        "rho_mean", "rho_std", "t_star", "dip_time", "plateau_height",
+        "rho_mean", "rho_std", "t_star", "scrambling_rate", "dip_time",
+        "plateau_height",
         "t_ramp", "t_heisenberg", "ks_goe", "ks_poisson",
     ):
         assert key in agg
@@ -413,6 +414,7 @@ def fake_manifest(model, t_star, t_ramp, dw=None, t_heisenberg=40.0, **config):
         "config": config,
         "aggregates": {
             "t_star": t_star,
+            "scrambling_rate": None if t_star is None else 1.0 / t_star,
             "t_ramp": t_ramp,
             "t_heisenberg": t_heisenberg,
         },
@@ -439,6 +441,24 @@ def test_compare_formulas():
     assert row["epsilon_r"] == pytest.approx(0.3)
     assert report["reference"]["t_ramp"] == 100.0
     assert "alpha" not in report
+
+
+def test_never_crossing_run_has_rate_zero_and_ratio_zero(tmp_path):
+    # the window ends long before the mean OTOC can decay to 1/e
+    config = gauss_config(
+        output_dir=str(tmp_path), realizations=1, otoc_t_max=0.2,
+        compute_sff=False, compute_spacings=False,
+    )
+    manifest = en.run_ensemble(config)
+    assert manifest.aggregates["t_star"] is None
+    assert "never crosses" in manifest.aggregates["t_star_error"]
+    assert manifest.aggregates["scrambling_rate"] == 0.0
+    reference = manifest.to_dict()
+    reference["aggregates"] = dict(reference["aggregates"], scrambling_rate=0.5)
+    report = en.compare_runs([manifest], reference)
+    assert report["reference"]["scrambling_rate"] == 0.5
+    assert report["runs"][0]["scrambling_rate"] == 0.0
+    assert report["runs"][0]["scrambling_ratio"] == 0.0
 
 
 def test_compare_fits_power_law_exactly():
